@@ -127,6 +127,12 @@ class AdmissionError(Exception):
         self.retry_after = retry_after
 
 
+def _resolve(waiter: "asyncio.Future[None]") -> None:
+    """Complete one ``wait()`` future (a timed-out waiter is already done)."""
+    if not waiter.done():
+        waiter.set_result(None)
+
+
 @dataclass
 class RunRecord:
     """One submission's lifecycle, from admission to terminal state."""
@@ -147,6 +153,10 @@ class RunRecord:
     error: str = ""
     summary: dict = field(default_factory=dict)
     done: threading.Event = field(default_factory=threading.Event, repr=False)
+    #: one future per coroutine parked in ``IResService.wait()``; guarded by
+    #: the service's lock and resolved once by ``_finish``
+    waiters: "list[asyncio.Future[None]]" = field(
+        default_factory=list, repr=False)
 
     @property
     def terminal(self) -> bool:
@@ -494,7 +504,24 @@ class IResService:
         rec = self.status(run_id)
         if rec is None:
             raise KeyError(f"unknown run {run_id!r}")
-        await asyncio.to_thread(rec.done.wait, timeout)
+        # a future per waiter, not a parked thread: the default executor's
+        # few threads are the ones that execute the runs being waited for
+        waiter: asyncio.Future[None] = (
+            asyncio.get_running_loop().create_future())
+        with self._lock:
+            # _finish sets ``done`` before it collects the waiters under
+            # this lock, so a waiter registered here is never missed
+            if rec.done.is_set():
+                return rec
+            rec.waiters.append(waiter)
+        try:
+            await asyncio.wait_for(waiter, timeout)
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            with self._lock:
+                if waiter in rec.waiters:  # timed out or cancelled
+                    rec.waiters.remove(waiter)
         return rec
 
     def stats(self) -> dict:
@@ -689,6 +716,14 @@ class IResService:
                   tenant=rec.tenant, latency_seconds=round(latency, 4),
                   error=error or None)
         rec.done.set()
+        with self._lock:
+            waiters, rec.waiters = rec.waiters, []
+        for waiter in waiters:
+            try:
+                # _finish runs on worker, REST and loop threads alike
+                waiter.get_loop().call_soon_threadsafe(_resolve, waiter)
+            except RuntimeError:
+                pass  # the waiter's loop has closed; nobody is listening
 
     def _capture_profile(self, rec: RunRecord) -> None:
         """Bank the run's samples from the always-on profiler ring."""

@@ -17,6 +17,7 @@ uses throughout (e.g. ``Constraints.OpSpecification.Algorithm.name=TF_IDF``).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -30,6 +31,15 @@ class MetadataError(ValueError):
     """Malformed meta-data description."""
 
 
+@lru_cache(maxsize=4096)
+def _split(dotted_key: str) -> tuple[str, ...]:
+    """The labels of a dotted path (a plan asks for the same few dozen keys)."""
+    parts = tuple(p for p in dotted_key.split(".") if p)
+    if not parts:
+        raise MetadataError("empty key")
+    return parts
+
+
 class MetadataTree:
     """A node of a meta-data tree.
 
@@ -38,11 +48,14 @@ class MetadataTree:
     sorted label order, preserving the paper's lexicographic invariant.
     """
 
-    __slots__ = ("value", "_children")
+    __slots__ = ("value", "_children", "_labels")
 
     def __init__(self, value: str | None = None) -> None:
         self.value = value
         self._children: dict[str, MetadataTree] = {}
+        #: sorted child labels, None until asked for and after a child is
+        #: added or removed (``set``/``remove`` are the only writers)
+        self._labels: tuple[str, ...] | None = None
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -77,38 +90,34 @@ class MetadataTree:
     # -- mutation --------------------------------------------------------
     def set(self, dotted_key: str, value: object) -> None:
         """Set a leaf value at a dotted path, creating intermediate nodes."""
-        parts = self._split(dotted_key)
         node = self
-        for part in parts[:-1]:
-            node = node._children.setdefault(part, MetadataTree())
-        leaf = node._children.setdefault(parts[-1], MetadataTree())
-        if leaf._children:
+        for part in _split(dotted_key):
+            child = node._children.get(part)
+            if child is None:
+                child = node._children[part] = MetadataTree()
+                node._labels = None
+            node = child
+        if node._children:
             raise MetadataError(f"{dotted_key!r} is an internal node, cannot assign a value")
-        leaf.value = str(value)
+        node.value = str(value)
 
     def remove(self, dotted_key: str) -> None:
         """Delete the node (leaf or subtree) at the given path."""
-        parts = self._split(dotted_key)
+        parts = _split(dotted_key)
         node = self
         for part in parts[:-1]:
             child = node._children.get(part)
             if child is None:
                 return
             node = child
-        node._children.pop(parts[-1], None)
-
-    @staticmethod
-    def _split(dotted_key: str) -> list[str]:
-        parts = [p for p in dotted_key.split(".") if p]
-        if not parts:
-            raise MetadataError("empty key")
-        return parts
+        if node._children.pop(parts[-1], None) is not None:
+            node._labels = None
 
     # -- access ----------------------------------------------------------
     def node(self, dotted_key: str) -> "MetadataTree | None":
         """Return the node at a dotted path, or None."""
         node = self
-        for part in self._split(dotted_key):
+        for part in _split(dotted_key):
             node = node._children.get(part)
             if node is None:
                 return None
@@ -138,8 +147,12 @@ class MetadataTree:
 
     def children(self) -> Iterator[tuple[str, "MetadataTree"]]:
         """Iterate children in lexicographic label order."""
-        for label in sorted(self._children):
-            yield label, self._children[label]
+        labels = self._labels
+        if labels is None:
+            labels = self._labels = tuple(sorted(self._children))
+        children = self._children
+        for label in labels:
+            yield label, children[label]
 
     def leaves(self, prefix: str = "") -> Iterator[tuple[str, str]]:
         """Iterate ``(dotted_path, value)`` for every leaf, sorted."""
@@ -167,7 +180,9 @@ class MetadataTree:
     def copy(self) -> "MetadataTree":
         """Deep copy of the subtree."""
         clone = MetadataTree(self.value)
-        clone._children = {k: v.copy() for k, v in self._children.items()}
+        if self._children:
+            clone._children = {k: v.copy() for k, v in self._children.items()}
+            clone._labels = self._labels
         return clone
 
     # -- matching ----------------------------------------------------------

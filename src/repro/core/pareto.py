@@ -14,34 +14,54 @@ first metric, which keeps the DP polynomial while preserving the extremes.
 
 from __future__ import annotations
 
-from typing import Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.library import OperatorLibrary
 from repro.core.operators import MaterializedOperator
-from repro.core.planner import CostEstimator, MetadataCostEstimator, PlanningError
+from repro.core.planner import (
+    INFEASIBLE,
+    CostEstimator,
+    Planner,
+    PlanningError,
+    _InputTarget,
+    _Targets,
+)
 from repro.core.workflow import AbstractWorkflow, MaterializedPlan, PlanStep
 
-INFEASIBLE = float("inf")
+_T = TypeVar("_T")
+_Vector = tuple[float, ...]
+_VECTOR = itemgetter(0)
 
 
 def dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
     """Pareto dominance for minimization."""
-    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+    for x, y in zip(a, b):
+        if not x <= y:
+            return False
+    return a != b  # no worse anywhere, so better somewhere unless equal
 
 
-def prune_frontier(entries: list["_ParetoEntry"], max_size: int) -> list["_ParetoEntry"]:
-    """Drop dominated entries; thin to ``max_size`` along the first metric."""
-    entries = sorted(entries, key=lambda e: e.metrics)
-    kept: list[_ParetoEntry] = []
-    for entry in entries:
-        if any(dominates(other.metrics, entry.metrics) for other in kept):
-            continue
-        kept = [k for k in kept if not dominates(entry.metrics, k.metrics)]
-        kept.append(entry)
-    kept.sort(key=lambda e: e.metrics[0])
+def prune_frontier(
+    entries: list[_T], max_size: int,
+    key: Callable[[_T], _Vector] = attrgetter("metrics"),
+) -> list[_T]:
+    """Drop dominated entries; thin to ``max_size`` along the first metric.
+
+    ``key`` reads an entry's metric vector (``entry.metrics`` by default).
+    """
+    # ascending by vector: an entry can only be dominated by an earlier one,
+    # and what is kept stays ordered along the first metric
+    kept: list[_T] = []
+    vectors: list[_Vector] = []
+    for entry in sorted(entries, key=key):
+        vector = key(entry)
+        if not any(dominates(other, vector) for other in vectors):
+            kept.append(entry)
+            vectors.append(vector)
     if len(kept) <= max_size:
         return kept
     # keep the extremes, thin evenly in between
@@ -98,8 +118,12 @@ class ParetoPlan(MaterializedPlan):
         self.metrics = metrics
 
 
-class ParetoPlanner:
-    """Multi-objective variant of Algorithm 1 returning a plan frontier."""
+class ParetoPlanner(Planner):
+    """Multi-objective variant of Algorithm 1 returning a plan frontier.
+
+    The DP keeps metric vectors where :class:`Planner` keeps scalars; input
+    targets and the price/build steps of a move are the scalar planner's.
+    """
 
     def __init__(
         self,
@@ -111,11 +135,9 @@ class ParetoPlanner:
     ) -> None:
         if len(metrics) < 2:
             raise ValueError("Pareto planning needs at least two metrics")
-        self.library = library
-        self.estimator = estimator if estimator is not None else MetadataCostEstimator()
+        super().__init__(library, estimator, allow_moves=allow_moves)
         self.metrics = tuple(metrics)
         self.max_frontier = max_frontier
-        self.allow_moves = allow_moves
 
     # -- public ----------------------------------------------------------
     def plan_frontier(
@@ -126,6 +148,7 @@ class ParetoPlanner:
         """All Pareto-optimal plans for the workflow's target dataset."""
         workflow.validate()
         dp: dict[str, dict[tuple, list[_ParetoEntry]]] = {}
+        targets: _Targets = {}
         zeros = tuple(0.0 for _ in self.metrics)
         for name, dataset in workflow.datasets.items():
             if dataset.materialized:
@@ -136,8 +159,9 @@ class ParetoPlanner:
             out_names = workflow.op_outputs[abstract_op.name]
             matches = self.library.find_materialized(abstract_op, available_engines)
             for mat_op in matches:
-                self._consider(dp, workflow, abstract_op.name, mat_op,
-                               in_names, out_names)
+                self._consider_frontier(dp, targets, workflow,
+                                        abstract_op.name, mat_op,
+                                        in_names, out_names)
 
         target_slots = dp.get(workflow.target)
         if not target_slots:
@@ -154,67 +178,73 @@ class ParetoPlanner:
         return plans
 
     # -- internals ---------------------------------------------------------
-    def _vector(self, metrics: dict[str, float]) -> tuple[float, ...] | None:
+    def _vector(self, metrics: dict[str, float]) -> _Vector | None:
         values = tuple(float(metrics.get(m, INFEASIBLE)) for m in self.metrics)
         if any(v == INFEASIBLE for v in values):
             return None
         return values
 
     @staticmethod
-    def _add(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    def _add(a: _Vector, b: _Vector) -> _Vector:
         return tuple(x + y for x, y in zip(a, b))
 
     def _input_options(
-        self, entries: list[_ParetoEntry], mat_op: MaterializedOperator,
-        i: int,
+        self, slots: dict[tuple, list[_ParetoEntry]], target: _InputTarget,
     ) -> list[_ParetoEntry]:
-        """Frontier of ways to provide input ``i`` (direct or via a move)."""
-        options: list[_ParetoEntry] = []
-        for entry in entries:
-            if mat_op.accepts_input(entry.dataset, i):
-                options.append(entry)
-            elif self.allow_moves:
-                moved = self._move(entry, mat_op, i)
-                if moved is not None:
-                    options.append(moved)
-        return prune_frontier(options, self.max_frontier)
+        """Frontier of ways to provide one input (direct or via a move).
 
-    def _move(self, entry: _ParetoEntry, mat_op: MaterializedOperator,
-              i: int) -> "_ParetoEntry | None":
-        spec = mat_op.input_spec(i)
-        if spec.is_leaf:
-            return None
-        src = entry.dataset
-        dst_store = spec.get("Engine.FS") or spec.get("Engine") or mat_op.engine
-        move_vec = self._vector(
-            self.estimator.move_metrics(src, src.store, dst_store))
-        if move_vec is None:
-            return None
-        moved = Dataset(src.name, src.metadata.copy())
-        for path, value in spec.leaves():
-            moved.metadata.set(f"Constraints.{path}", value)
-        if not mat_op.accepts_input(moved, i):
-            return None
-        from repro.core.operators import MoveOperator
+        Every option is priced as a metric vector; moves are built only for
+        the options the frontier keeps.
+        """
+        # (total vector, source entry, the move's (vector, metrics) if any)
+        priced: list[tuple[_Vector, _ParetoEntry,
+                           tuple[_Vector, dict[str, float]] | None]] = []
+        for signature, entries in slots.items():
+            for entry in entries:
+                if target.accepts(signature[1], entry.dataset):
+                    priced.append((entry.metrics, entry, None))
+                elif self.allow_moves:
+                    src = entry.dataset
+                    metrics = self._move_price(src, src.store, target)
+                    move = None if metrics is None else self._vector(metrics)
+                    if metrics is not None and move is not None:
+                        priced.append((self._add(entry.metrics, move), entry,
+                                       (move, metrics)))
+        while True:
+            options: list[_ParetoEntry] = []
+            impossible: set[int] = set()
+            for option in prune_frontier(priced, self.max_frontier, _VECTOR):
+                vector, entry, moved = option
+                if moved is None:
+                    options.append(entry)
+                    continue
+                src = entry.dataset
+                step = self._move_build(src, src.store, target, moved[0][0],
+                                        moved[1])
+                if step is None:
+                    impossible.add(id(option))
+                else:
+                    options.append(
+                        _ParetoEntry(step.outputs[0], vector, step, (entry,)))
+            if not impossible:
+                return options
+            # an impossible move must not shape the frontier: prune again
+            # without it
+            priced = [o for o in priced if id(o) not in impossible]
 
-        move_op = MoveOperator(src.store or "unknown", dst_store or "unknown",
-                               src.fmt, moved.fmt)
-        step = PlanStep(operator=move_op, inputs=(src,), outputs=(moved,),
-                        estimated_cost=move_vec[0])
-        return _ParetoEntry(moved, self._add(entry.metrics, move_vec),
-                            step, (entry,))
-
-    def _consider(
+    def _consider_frontier(
         self,
-        dp: dict[str, dict[str, list[_ParetoEntry]]],
+        dp: dict[str, dict[tuple, list[_ParetoEntry]]],
+        targets: _Targets,
         workflow: AbstractWorkflow,
         abstract_name: str,
         mat_op: MaterializedOperator,
         in_names: list[str],
         out_names: list[str],
     ) -> None:
+        """Evaluate one materialized candidate over every input frontier."""
         # frontier of input combinations, built incrementally with pruning
-        combos: list[tuple[tuple[float, ...], tuple[_ParetoEntry, ...]]] = [
+        combos: list[tuple[_Vector, tuple[_ParetoEntry, ...]]] = [
             (tuple(0.0 for _ in self.metrics), ())
         ]
         for i, in_name in enumerate(in_names):
@@ -222,21 +252,15 @@ class ParetoPlanner:
             if not slots:
                 return
             options = self._input_options(
-                [e for entries in slots.values() for e in entries], mat_op, i)
+                slots, self._input_target(targets, mat_op, i))
             if not options:
                 return
-            extended = [
-                (self._add(vec, opt.metrics), parents + (opt,))
-                for vec, parents in combos
-                for opt in options
-            ]
             # prune combined partial vectors to keep the product bounded
-            wrapped = [
-                _ParetoEntry(None, vec, None, parents)  # type: ignore[arg-type]
-                for vec, parents in extended
-            ]
-            pruned = prune_frontier(wrapped, self.max_frontier)
-            combos = [(e.metrics, e.parents) for e in pruned]
+            combos = prune_frontier(
+                [(self._add(vec, opt.metrics), parents + (opt,))
+                 for vec, parents in combos
+                 for opt in options],
+                self.max_frontier, _VECTOR)
 
         for vec, parents in combos:
             input_datasets = [p.dataset for p in parents]

@@ -19,11 +19,12 @@ Worst-case complexity is ``O(op · m² · k)`` for ``op`` abstract operators,
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import Protocol, Sequence
 
 from repro.core.dataset import Dataset
 from repro.core.library import MatchStats, MatchTotals, OperatorLibrary
-from repro.core.metadata import MetadataTree
+from repro.core.metadata import MetadataError, MetadataTree
 from repro.core.operators import MaterializedOperator, MoveOperator
 from repro.core.plancache import PlanCache
 from repro.core.policy import OptimizationPolicy
@@ -135,6 +136,10 @@ class MetadataCostEstimator:
         return sum(d.count for d in inputs)
 
 
+#: a dataset's constraint leaves, as ``Dataset.signature()`` lists them
+_Leaves = tuple[tuple[str, str], ...]
+
+
 class _Entry:
     """One dpTable record: a dataset in a concrete format plus how to get it.
 
@@ -143,7 +148,7 @@ class _Entry:
     is reconstructed by walking this DAG.
     """
 
-    __slots__ = ("dataset", "cost", "step", "parents", "constraints")
+    __slots__ = ("dataset", "cost", "step", "parents", "leaves", "store")
 
     def __init__(
         self,
@@ -151,15 +156,17 @@ class _Entry:
         cost: float,
         step: PlanStep | None = None,
         parents: tuple["_Entry", ...] = (),
+        leaves: _Leaves = (),
     ) -> None:
         self.dataset = dataset
         self.cost = cost
         self.step = step
         self.parents = parents
-        # the _consider inner loop checks this node against every candidate's
-        # input spec; resolving it once here keeps the per-candidate cost to
-        # a single consistent_with walk
-        self.constraints = dataset.metadata.node("Constraints")
+        #: the dataset's constraint leaves — the tuple its dpTable key
+        #: (``Dataset.signature()``) already holds, not a second copy
+        self.leaves = leaves
+        #: where the data sits: the source side of every move priced from here
+        self.store = dataset.store
 
     def collect_steps(self) -> list[PlanStep]:
         """Topologically ordered, deduplicated steps of this entry's plan."""
@@ -184,6 +191,49 @@ class _Entry:
                 emitted.add(id(step))
                 unique.append(step)
         return unique
+
+
+class _InputTarget:
+    """What a candidate's input asks of the dataset feeding it.
+
+    Resolved once per planning pass and distinct input spec (the 500 inputs
+    of a Montage ``mAdd`` share one), so the work left per dpTable entry is
+    a dict lookup: ``accepts`` memoizes the O(t) ``consistent_with`` walk per
+    constraint-leaf tuple, of which eight engines produce a handful.
+    """
+
+    __slots__ = ("spec", "dst_store", "overlay", "_accepts")
+
+    def __init__(self, spec: MetadataTree, leaves: _Leaves,
+                 engine: str | None) -> None:
+        self.spec = spec
+        #: the store a move to this input delivers to
+        self.dst_store = spec.get("Engine.FS") or spec.get("Engine") or engine
+        #: what a move lays over the moved dataset's description
+        self.overlay = [(f"Constraints.{path}", value)
+                        for path, value in leaves]
+        self._accepts: dict[_Leaves, bool] = {}
+
+    def accepts(self, leaves: _Leaves, dataset: Dataset) -> bool:
+        """Can ``dataset``, whose constraint leaves are ``leaves``, feed
+        this input as-is?
+
+        The leaves decide it: ``consistent_with`` compares nothing but leaf
+        values, and a node without a value agrees with everything.
+        """
+        ok = self._accepts.get(leaves)
+        if ok is None:
+            constraints = dataset.metadata.node("Constraints")
+            ok = constraints is None or self.spec.consistent_with(constraints)
+            self._accepts[leaves] = ok
+        return ok
+
+
+#: one planning pass's targets, by ``(spec leaves, candidate engine)`` —
+#: all of a spec that ``accepts``, pricing and building read
+_Targets = dict[tuple[_Leaves, str | None], _InputTarget]
+
+_BY_COST = itemgetter(0)
 
 
 class Planner:
@@ -343,6 +393,7 @@ class Planner:
     ) -> MaterializedPlan:
         workflow.validate()
         dp: dict[str, dict[tuple, _Entry]] = {}
+        targets: _Targets = {}
         materialized_results = materialized_results or {}
         prov = PlanProvenance(workflow.name) if self.record_provenance else None
         if self.record_provenance:
@@ -352,14 +403,16 @@ class Planner:
         for name, dataset in workflow.datasets.items():
             if name in materialized_results:
                 ds = materialized_results[name]
-                dp[name] = {ds.signature(): _Entry(ds, 0.0)}
+                key = ds.signature()
+                dp[name] = {key: _Entry(ds, 0.0, leaves=key[1])}
                 if name == workflow.target:
                     # the replan's target was computed before the failure;
                     # nothing is left to plan (mirrors the materialized-source
                     # early return below)
                     return MaterializedPlan(workflow, [], 0.0)
             elif dataset.materialized:
-                dp[name] = {dataset.signature(): _Entry(dataset, 0.0)}
+                key = dataset.signature()
+                dp[name] = {key: _Entry(dataset, 0.0, leaves=key[1])}
                 if name == workflow.target:
                     return MaterializedPlan(workflow, [], 0.0)
 
@@ -378,8 +431,8 @@ class Planner:
                     totals=totals,
                 )
                 for mat_op in matches:
-                    self._consider(dp, workflow, abstract_op.name, mat_op,
-                                   in_names, out_names, prov)
+                    self._consider(dp, targets, workflow, abstract_op.name,
+                                   mat_op, in_names, out_names, prov)
                 continue
             stats = MatchStats()
             with tracer.span(f"expand:{abstract_op.name}", category="planner",
@@ -389,8 +442,8 @@ class Planner:
                     stats=stats, totals=totals,
                 )
                 for mat_op in matches:
-                    self._consider(dp, workflow, abstract_op.name, mat_op,
-                                   in_names, out_names, prov)
+                    self._consider(dp, targets, workflow, abstract_op.name,
+                                   mat_op, in_names, out_names, prov)
                 op_span.set_attribute("candidates_matched", stats.matched)
                 op_span.set_attribute("pruned_by_index", stats.pruned_by_index)
                 op_span.set_attribute("engine_filtered", stats.engine_filtered)
@@ -420,6 +473,7 @@ class Planner:
     def _consider(
         self,
         dp: dict[str, dict[tuple, _Entry]],
+        targets: _Targets,
         workflow: AbstractWorkflow,
         abstract_name: str,
         mat_op: MaterializedOperator,
@@ -437,17 +491,8 @@ class Planner:
                     prov.note(self._candidate(
                         abstract_name, mat_op, REASON_INPUT_UNPRODUCIBLE))
                 return  # input not producible -> operator infeasible
-            # one spec lookup per input, not one per dpTable entry
-            spec = mat_op.input_spec(i)
-            best: _Entry | None = None
-            for entry in entries.values():
-                if entry.constraints is None or spec.consistent_with(entry.constraints):
-                    if best is None or entry.cost < best.cost:
-                        best = entry
-                elif self.allow_moves:
-                    moved = self._move(entry, mat_op, spec)
-                    if moved is not None and (best is None or moved.cost < best.cost):
-                        best = moved
+            best = self._cheapest_input(
+                entries, self._input_target(targets, mat_op, i))
             if best is None:
                 if prov is not None:
                     prov.note(self._candidate(
@@ -496,10 +541,12 @@ class Planner:
         parents = tuple(input_entries)
         for out_ds in outputs:
             slot = dp.setdefault(out_ds.name, {})
-            key = ("__single__",) if self.single_entry_dp else out_ds.signature()
+            signature = out_ds.signature()
+            key = ("__single__",) if self.single_entry_dp else signature
             current = slot.get(key)
             if current is None or total_cost < current.cost:
-                slot[key] = _Entry(out_ds, total_cost, step, parents)
+                slot[key] = _Entry(out_ds, total_cost, step, parents,
+                                   signature[1])
 
     def _candidate(self, abstract_name: str, mat_op: MaterializedOperator,
                    reason: str) -> CandidateRecord:
@@ -513,6 +560,49 @@ class Planner:
             reason=reason,
         )
 
+    def _cheapest_input(self, entries: dict[tuple, _Entry],
+                        target: _InputTarget) -> _Entry | None:
+        """The cheapest way to feed one input: as-is, or through a move.
+
+        Lines 22-25 of Algorithm 1 need every move's *cost* but only the
+        cheapest input: every dpTable entry is priced, and the move is built
+        for the winner alone.
+        """
+        priced: list[tuple[float, _Entry, float, dict[str, float] | None]] = []
+        for entry in entries.values():
+            if target.accepts(entry.leaves, entry.dataset):
+                priced.append((entry.cost, entry, 0.0, None))
+            elif self.allow_moves:
+                metrics = self._move_price(entry.dataset, entry.store, target)
+                if metrics is None:
+                    continue
+                move_cost = self.policy.scalarize(metrics)
+                if move_cost != INFEASIBLE:
+                    priced.append(
+                        (entry.cost + move_cost, entry, move_cost, metrics))
+        # cheapest first; the sort is stable, so equal costs keep dpTable
+        # order and the first entry wins, as a strict-< scan would have it
+        priced.sort(key=_BY_COST)
+        for cost, entry, move_cost, metrics in priced:
+            if metrics is None:
+                return entry
+            step = self._move_build(
+                entry.dataset, entry.store, target, move_cost, metrics)
+            if step is not None:
+                return _Entry(step.outputs[0], cost, step, (entry,))
+        return None
+
+    @staticmethod
+    def _input_target(targets: _Targets, mat_op: MaterializedOperator,
+                      i: int) -> _InputTarget:
+        """The pass's resolved target for input ``i`` of ``mat_op``."""
+        spec = mat_op.input_spec(i)
+        key = (tuple(spec.leaves()), mat_op.engine)
+        target = targets.get(key)
+        if target is None:
+            target = targets[key] = _InputTarget(spec, *key)
+        return target
+
     def _move_operator(self, src_store: str | None, dst_store: str | None,
                        src_fmt: str | None,
                        dst_fmt: str | None) -> MoveOperator:
@@ -524,37 +614,44 @@ class Planner:
             self._move_ops[key] = op
         return op
 
-    def _move(self, entry: _Entry, mat_op: MaterializedOperator,
-              spec: "MetadataTree") -> "_Entry | None":
-        """``checkMove``/``moveCost`` of Algorithm 1: synthesize a transfer.
+    def _move_price(self, src: Dataset, src_store: str | None,
+                    target: _InputTarget) -> dict[str, float] | None:
+        """``moveCost`` of Algorithm 1: the metrics of converting ``src``.
 
-        Builds a move/transform step converting the dpTable entry's dataset
-        to the format required by ``spec`` (the candidate's input spec, looked
-        up once by the caller).  Returns None if the move is impossible
-        (estimator returned infinity) or pointless (the input spec imposes no
-        constraints to convert to).
+        None when the move is pointless: the input spec imposes no
+        constraints to convert to, so the mismatch is structural.
         """
-        if spec.is_leaf:
-            return None  # nothing known to convert to; mismatch is structural
-        src = entry.dataset
-        src_store = src.store
-        dst_store = spec.get("Engine.FS") or spec.get("Engine") or mat_op.engine
-        metrics = self.estimator.move_metrics(src, src_store, dst_store)
-        move_cost = self.policy.scalarize(metrics)
-        if move_cost == INFEASIBLE:
+        if target.spec.is_leaf:
             return None
+        return self.estimator.move_metrics(src, src_store, target.dst_store)
+
+    def _move_build(self, src: Dataset, src_store: str | None,
+                    target: _InputTarget, cost: float,
+                    metrics: dict[str, float]) -> PlanStep | None:
+        """``checkMove`` of Algorithm 1: synthesize a priced transfer.
+
+        Builds the move/transform step converting ``src`` to the format
+        ``target`` requires; ``step.outputs[0]`` is the moved dataset.
+        Returns None if the move is impossible: the spec cannot be laid over
+        the dataset's description, or the result still disagrees with it.
+        """
         moved = Dataset(src.name, src.metadata.copy())
-        for path, value in spec.leaves():
-            moved.metadata.set(f"Constraints.{path}", value)
-        moved_constraints = moved.metadata.node("Constraints")
-        if moved_constraints is not None and not spec.consistent_with(moved_constraints):
+        try:
+            for key, value in target.overlay:
+                moved.metadata.set(key, value)
+        except MetadataError:
+            # a spec leaf over a subtree, e.g. Engine=x over Engine.FS=y
             return None
-        move_op = self._move_operator(src_store, dst_store, src.fmt, moved.fmt)
-        step = PlanStep(
+        constraints = moved.metadata.node("Constraints")
+        if (constraints is not None
+                and not target.spec.consistent_with(constraints)):
+            return None
+        move_op = self._move_operator(
+            src_store, target.dst_store, src.fmt, moved.fmt)
+        return PlanStep(
             operator=move_op,
             inputs=(src,),
             outputs=(moved,),
-            estimated_cost=move_cost,
+            estimated_cost=cost,
             predicted=metrics,
         )
-        return _Entry(moved, entry.cost + move_cost, step, (entry,))

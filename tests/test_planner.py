@@ -1,6 +1,13 @@
 """Unit tests for the DP planner — Algorithm 1 (repro.core.planner)."""
 
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AbstractOperator,
@@ -13,6 +20,9 @@ from repro.core import (
     Planner,
     PlanningError,
 )
+from repro.core.metadata import MetadataTree
+from repro.core.pareto import ParetoPlanner
+from repro.workflows import generate, synthetic_library
 
 
 def make_op(name, alg, engine, fs, in_type, out_type, exec_time, cost=None):
@@ -313,3 +323,288 @@ def test_materialized_results_target_returns_empty_plan():
         wf, materialized_results={"d2": done})
     assert plan.steps == []
     assert plan.cost == 0.0
+
+
+# -- price every move, build only the winner ----------------------------------
+
+
+def _two_producer_chain(first, second):
+    """``src -> A -> d1 -> B -> out``: A on stores X and Y, B on X alone.
+
+    ``first``/``second`` are ``(store, exec_time)`` of A's implementations in
+    library order, which is the order of ``d1``'s dpTable entries.
+    """
+    lib = OperatorLibrary()
+    for store, exec_time in (first, second):
+        lib.add(make_op(f"A_{store}", "A", f"engine{store}", store,
+                        "data", "data", exec_time))
+    lib.add(make_op("B_X", "B", "engineX", "X", "data", "data", 1.0))
+    wf = AbstractWorkflow("tie")
+    # no store on the source: both A implementations read it as-is
+    wf.add_dataset(Dataset("src", {"Constraints.type": "data",
+                                   "Optimization.size": 100e6},
+                           materialized=True))
+    wf.add_dataset(Dataset("d1"))
+    wf.add_dataset(Dataset("out"))
+    for name in ("A", "B"):
+        wf.add_operator(AbstractOperator(name, {
+            "Constraints.OpSpecification.Algorithm.name": name}))
+    wf.connect("src", "A")
+    wf.connect("A", "d1")
+    wf.connect("d1", "B")
+    wf.connect("B", "out")
+    wf.set_target("out")
+    return lib, wf
+
+
+@pytest.mark.parametrize("first, second, winner, moves", [
+    (("X", 3.0), ("Y", 2.0), "A_X", 0),  # direct entry first: it stays
+    (("Y", 2.0), ("X", 3.0), "A_Y", 1),  # moved entry first: it stays
+])
+def test_equal_cost_inputs_keep_the_first_dptable_entry(
+        first, second, winner, moves):
+    """A direct input at 3.0 ties with a 2.0 input plus a 1.0 move (100 MB
+    at 100 MB/s): strict-< comparison keeps whichever entry came first."""
+    lib, wf = _two_producer_chain(first, second)
+    plan = Planner(lib, MetadataCostEstimator(move_bandwidth=100e6)).plan(wf)
+    assert plan.cost == 4.0
+    assert plan.steps[0].operator.name == winner
+    assert sum(s.is_move for s in plan.steps) == moves
+
+
+def _unlayable_move_case(blocked_time, movable_time):
+    """``d1`` has an entry no move can convert and one a move can.
+
+    B asks for ``Engine=x`` as a *leaf*; the blocked entry holds the subtree
+    ``Engine.FS=y``, so laying the spec over it is a structural conflict
+    (``MetadataTree.set`` raises), while both entries need a move (type).
+    """
+    lib = OperatorLibrary()
+    base = {"Constraints.Input.number": 1, "Constraints.Output.number": 1}
+    lib.add(MaterializedOperator("A_blocked", {
+        **base, "Constraints.OpSpecification.Algorithm.name": "A",
+        "Constraints.Engine": "e1", "Constraints.Output0.Engine.FS": "y",
+        "Constraints.Output0.type": "text",
+        "Optimization.execTime": blocked_time}))
+    lib.add(MaterializedOperator("A_movable", {
+        **base, "Constraints.OpSpecification.Algorithm.name": "A",
+        "Constraints.Engine": "e2", "Constraints.Output0.Engine": "x",
+        "Constraints.Output0.type": "text",
+        "Optimization.execTime": movable_time}))
+    lib.add(MaterializedOperator("B", {
+        **base, "Constraints.OpSpecification.Algorithm.name": "B",
+        "Constraints.Engine": "e2", "Constraints.Input0.Engine": "x",
+        "Constraints.Input0.type": "binary",
+        "Constraints.Output0.type": "binary",
+        "Optimization.execTime": 1.0}))
+    _, wf = _two_producer_chain(("X", 1.0), ("Y", 1.0))
+    return lib, wf
+
+
+@pytest.mark.parametrize("blocked_time, movable_time", [
+    (1.0, 50.0),  # the impossible move is the cheapest: built, then skipped
+    (50.0, 1.0),  # the impossible move is never the cheapest: never built
+])
+def test_unlayable_move_is_infeasible_not_an_error(blocked_time, movable_time):
+    """A spec that cannot be laid over a dataset means "no move from here",
+    whichever entry is cheapest (it used to raise MetadataError out of
+    plan(), and lazy building would have raised in one ordering only)."""
+    lib, wf = _unlayable_move_case(blocked_time, movable_time)
+    plan = Planner(lib).plan(wf)
+    assert [s.operator.name for s in plan.steps if not s.is_move] == [
+        "A_movable", "B"]
+    assert sum(s.is_move for s in plan.steps) == 1
+    frontier = ParetoPlanner(lib).plan_frontier(wf)
+    assert all(p.steps[0].operator.name == "A_movable" for p in frontier)
+
+
+def test_cold_plan_copies_at_most_one_tree_per_input_and_output(monkeypatch):
+    """Moves are priced per dpTable entry but built per winner: a candidate
+    copies a description once per input (its one move) and once per output,
+    never once per entry it looked at."""
+    workflow = generate("Montage", 100, seed=1)
+    library = synthetic_library(workflow, 4, seed=2)
+    budget = sum(
+        len(library.find_materialized(op))
+        * (len(workflow.op_inputs[op.name]) + len(workflow.op_outputs[op.name]))
+        for op in workflow.topological_operators())
+
+    copy = MetadataTree.copy
+    depth = top_level = 0
+
+    def counting_copy(self):
+        nonlocal depth, top_level
+        top_level += depth == 0
+        depth += 1
+        try:
+            return copy(self)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(MetadataTree, "copy", counting_copy)
+    Planner(library, MetadataCostEstimator()).plan(workflow)
+    assert 0 < top_level <= budget
+
+
+def _plan_digest(plan):
+    """The digest of ``benchmarks/e2e/oracle.py``: ordered step identities."""
+    text = "\n".join(
+        f"{step.abstract_name or ''}:{step.operator.name}:"
+        f"{'move' if step.is_move else (step.engine or '')}"
+        for step in plan.steps)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _plan_goldens():
+    path = Path(__file__).parent / "fixtures" / "plan_goldens.json"
+    return json.loads(path.read_text())["plans"]
+
+
+@pytest.mark.parametrize(
+    "golden", _plan_goldens(),
+    ids=lambda g: f"montage{g['nodes']}x{g['engines']}-seed{g['seed']}")
+def test_montage_plans_match_recorded_goldens(golden):
+    """Plans are byte-identical to the ones the eager planner produced."""
+    workflow = generate("Montage", golden["nodes"], seed=golden["seed"])
+    library = synthetic_library(workflow, golden["engines"],
+                                seed=golden["seed"] + 1)
+    plan = Planner(library, MetadataCostEstimator()).plan(workflow)
+    assert plan.cost == golden["cost"]
+    assert len(plan.steps) == golden["steps"]
+    assert _plan_digest(plan) == golden["digest"]
+
+
+# -- Algorithm 1's optimality claim, against enumeration ------------------------
+
+_ENGINES = 3
+_BANDWIDTH = 100e6
+_exec_time = st.floats(min_value=0.1, max_value=100.0, allow_nan=False)
+_source_size = st.floats(min_value=1e6, max_value=1e10, allow_nan=False)
+
+
+@st.composite
+def in_tree_instance(draw):
+    """An in-tree of at most 6 operators (1-2 inputs each) on 3 engines.
+
+    Every dataset feeds exactly one operator, so a plan's cost is the plain
+    sum of its operator and move costs.  Returns the workflow, its library
+    and the drawn ``exec_time[operator][engine]`` table.
+    """
+    n_ops = draw(st.integers(1, 6))
+    wf = AbstractWorkflow("in-tree")
+    library = OperatorLibrary()
+    exec_time = {}
+    dangling = []
+    n_sources = 0
+    for i in range(n_ops):
+        last = i == n_ops - 1
+        # the last operator consumes everything still dangling
+        arity = max(1, len(dangling)) if last else draw(st.integers(1, 2))
+        inputs = []
+        for _ in range(arity):
+            if dangling and (last or draw(st.booleans())):
+                inputs.append(dangling.pop(0))
+            else:
+                name = f"src{n_sources}"
+                n_sources += 1
+                # no store: every engine reads a source as-is
+                wf.add_dataset(Dataset(name, {
+                    "Constraints.type": "data",
+                    "Optimization.size": draw(_source_size),
+                }, materialized=True))
+                inputs.append(name)
+        op_name, out_name = f"stage{i}", f"d{i}"
+        wf.add_operator(AbstractOperator(op_name, {
+            "Constraints.OpSpecification.Algorithm.name": op_name,
+            "Constraints.Input.number": len(inputs)}))
+        wf.add_dataset(Dataset(out_name))
+        for name in inputs:
+            wf.connect(name, op_name)
+        wf.connect(op_name, out_name)
+        dangling.append(out_name)
+        exec_time[op_name] = [draw(_exec_time) for _ in range(_ENGINES)]
+        for j, seconds in enumerate(exec_time[op_name]):
+            props = {
+                "Constraints.OpSpecification.Algorithm.name": op_name,
+                "Constraints.Engine": f"engine{j}",
+                "Constraints.Input.number": len(inputs),
+                "Constraints.Output.number": 1,
+                "Constraints.Output0.Engine.FS": f"store{j}",
+                "Constraints.Output0.type": "data",
+                "Optimization.execTime": seconds,
+                "Optimization.cost": seconds,
+            }
+            for k in range(len(inputs)):
+                props[f"Constraints.Input{k}.Engine.FS"] = f"store{j}"
+                props[f"Constraints.Input{k}.type"] = "data"
+            library.add(MaterializedOperator(f"{op_name}_e{j}", props))
+    wf.set_target(dangling[-1])
+    return wf, library, exec_time
+
+
+def _dataset_sizes(wf):
+    """Bytes of every dataset: an output is the sum of its inputs."""
+    size = {name: ds.size for name, ds in wf.datasets.items()
+            if ds.materialized}
+    for op in wf.topological_operators():
+        for out in wf.op_outputs[op.name]:
+            size[out] = sum(size[d] for d in wf.op_inputs[op.name])
+    return size
+
+
+def _enumerated_optimum(wf, exec_time, allow_moves):
+    """Cheapest of all ``3 ** operators`` engine assignments, priced from
+    the drawn table alone: one move wherever producer and consumer differ
+    (none allowed with ``allow_moves=False``)."""
+    ops = [op.name for op in wf.topological_operators()]
+    size = _dataset_sizes(wf)
+    best = float("inf")
+    for assignment in itertools.product(range(_ENGINES), repeat=len(ops)):
+        engine_of = dict(zip(ops, assignment))
+        total = 0.0
+        for name in ops:
+            total += exec_time[name][engine_of[name]]
+            for ds in wf.op_inputs[name]:
+                producer = wf.producer.get(ds)
+                if producer is not None and engine_of[producer] != engine_of[name]:
+                    total += size[ds] / _BANDWIDTH if allow_moves else float("inf")
+        best = min(best, total)
+    return best
+
+
+def _single_entry_reference(wf, exec_time):
+    """The ablated DP by hand: ONE (cost, engine) per dataset, first wins."""
+    size = _dataset_sizes(wf)
+    best = {name: (0.0, None) for name, ds in wf.datasets.items()
+            if ds.materialized}
+    for op in wf.topological_operators():
+        for j in range(_ENGINES):
+            total = exec_time[op.name][j]
+            for ds in wf.op_inputs[op.name]:
+                cost, engine = best[ds]
+                total += cost
+                if engine is not None and engine != j:
+                    total += size[ds] / _BANDWIDTH
+            for out in wf.op_outputs[op.name]:
+                if out not in best or total < best[out][0]:
+                    best[out] = (total, j)
+    return best[wf.target][0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(in_tree_instance())
+def test_plan_cost_is_the_enumerated_optimum(instance):
+    wf, library, exec_time = instance
+    estimator = MetadataCostEstimator(move_bandwidth=_BANDWIDTH)
+    optimum = _enumerated_optimum(wf, exec_time, allow_moves=True)
+    assert Planner(library, estimator).plan(wf).cost == pytest.approx(
+        optimum, rel=1e-9)
+    # a connected tree without moves runs on one engine end to end
+    assert Planner(library, estimator, allow_moves=False).plan(
+        wf).cost == pytest.approx(
+            _enumerated_optimum(wf, exec_time, allow_moves=False), rel=1e-9)
+    # one entry per dataset loses hybrid plans, never gains on the optimum
+    single = Planner(library, estimator, single_entry_dp=True).plan(wf).cost
+    assert single == pytest.approx(
+        _single_entry_reference(wf, exec_time), rel=1e-9)
+    assert single >= optimum * (1 - 1e-9)

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import os
 import threading
 import types
 import urllib.request
@@ -167,6 +168,51 @@ def test_cancel_running_run_cooperatively():
     rec = asyncio.run(main())
     assert rec.state == CANCELLED
     assert "cancelled" in rec.error
+
+
+def test_more_waiters_than_executor_threads_all_return():
+    """wait() used to park one thread of asyncio's default executor per
+    waiter — the pool that also executes the runs — so ``cpu + 4`` waiters
+    over queued runs left no thread to run them and nothing ever finished."""
+    stub = _StubPlatform()
+    stub.release.set()  # runs finish as soon as a worker thread takes them
+    waiters = 2 * ((os.cpu_count() or 1) + 4)
+
+    async def main():
+        service = IResService(lambda: stub, workers=2, queue_limit=waiters)
+        recs = [service.submit("slow") for _ in range(waiters)]
+        waits = [asyncio.ensure_future(service.wait(rec.run_id))
+                 for rec in recs]
+        await asyncio.sleep(0)  # every waiter is parked before a run starts
+        await service.start()
+        done, pending = await asyncio.wait(waits, timeout=60)
+        for task in pending:
+            task.cancel()
+        await service.shutdown(drain=False)
+        return recs, done, pending
+
+    recs, done, pending = asyncio.run(main())
+    assert not pending
+    assert {task.result().state for task in done} == {SUCCEEDED}
+    assert all(rec.waiters == [] for rec in recs)
+
+
+def test_wait_timeout_returns_the_unfinished_record():
+    stub = _StubPlatform()
+
+    async def main():
+        service = IResService(lambda: stub, workers=1)
+        await service.start()
+        rec = service.submit("slow")
+        waited = await service.wait(rec.run_id, timeout=0.05)
+        parked = list(rec.waiters)
+        await service.shutdown(drain=False)
+        return rec, waited, parked
+
+    rec, waited, parked = asyncio.run(main())
+    assert waited is rec
+    assert parked == []  # a timed-out waiter unregisters itself
+    assert rec.state == CANCELLED  # and the record still reaches a terminal state
 
 
 def test_deadline_exceeded_marks_run_deadline():
