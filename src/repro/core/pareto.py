@@ -3,10 +3,11 @@
 The paper's planner optimizes a single scalarized metric and notes: "We are
 currently investigating methods for optimizing multiple dimensions of
 performance metrics, such as finding Pareto frontier execution plans."
-This module implements that extension: the dpTable keeps, per dataset
-format, the set of *mutually non-dominated* plans over a metric vector
-(execution time, monetary cost, ...), and the planner returns the whole
-frontier at the target so the user can pick a trade-off after the fact.
+This module implements that extension as the same optimizer over another
+cost: :class:`~repro.core.planner.Planner` fills the dpTable, and here a
+cost is a metric *vector* (execution time, monetary cost, ...), so each slot
+keeps the set of *mutually non-dominated* plans and the planner returns the
+whole frontier at the target for the user to pick a trade-off after the fact.
 
 Frontier sizes are bounded (``max_frontier``) by thinning evenly along the
 first metric, which keeps the DP polynomial while preserving the extremes.
@@ -14,27 +15,19 @@ first metric, which keeps the DP polynomial while preserving the extremes.
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
-from typing import Callable, Sequence, TypeVar
+from operator import add, attrgetter
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.library import OperatorLibrary
-from repro.core.operators import MaterializedOperator
-from repro.core.planner import (
-    INFEASIBLE,
-    CostEstimator,
-    Planner,
-    PlanningError,
-    _InputTarget,
-    _Targets,
-)
+from repro.core.planner import INFEASIBLE, CostEstimator, Planner
+from repro.core.policy import OptimizationPolicy
 from repro.core.workflow import AbstractWorkflow, MaterializedPlan, PlanStep
 
 _T = TypeVar("_T")
 _Vector = tuple[float, ...]
-_VECTOR = itemgetter(0)
 
 
 def dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
@@ -69,46 +62,6 @@ def prune_frontier(
     return [kept[i] for i in sorted(set(idx.tolist()))]
 
 
-class _ParetoEntry:
-    """One frontier point: a dataset format, a metric vector, a plan DAG."""
-
-    __slots__ = ("dataset", "metrics", "step", "parents")
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        metrics: tuple[float, ...],
-        step: PlanStep | None = None,
-        parents: tuple["_ParetoEntry", ...] = (),
-    ) -> None:
-        self.dataset = dataset
-        self.metrics = metrics
-        self.step = step
-        self.parents = parents
-
-    def collect_steps(self) -> list[PlanStep]:
-        """Topologically ordered, deduplicated steps of this entry's plan."""
-        seen: set[int] = set()
-        ordered: list[PlanStep] = []
-
-        def visit(entry: "_ParetoEntry") -> None:
-            if id(entry) in seen:
-                return
-            seen.add(id(entry))
-            for parent in entry.parents:
-                visit(parent)
-            if entry.step is not None:
-                ordered.append(entry.step)
-
-        visit(self)
-        unique, emitted = [], set()
-        for step in ordered:
-            if id(step) not in emitted:
-                emitted.add(id(step))
-                unique.append(step)
-        return unique
-
-
 class ParetoPlan(MaterializedPlan):
     """A frontier plan annotated with its full metric vector."""
 
@@ -118,11 +71,37 @@ class ParetoPlan(MaterializedPlan):
         self.metrics = metrics
 
 
-class ParetoPlanner(Planner):
-    """Multi-objective variant of Algorithm 1 returning a plan frontier.
+class _CostVector(tuple):
+    """A metric vector as a dpTable cost: adds element-wise, orders as a
+    tuple, and reads as a float through its first metric."""
 
-    The DP keeps metric vectors where :class:`Planner` keeps scalars; input
-    targets and the price/build steps of a move are the scalar planner's.
+    __slots__ = ()
+
+    def __add__(self, other: tuple) -> "_CostVector":  # type: ignore[override]
+        return _CostVector(map(add, self, other))
+
+    def __float__(self) -> float:
+        return self[0]
+
+
+class _VectorPolicy(OptimizationPolicy):
+    """Prices a step as the vector of the metrics ``weights`` names (it
+    weighs none of them: the values go unused)."""
+
+    def scalarize(self, metrics: Mapping[str, float]) -> Any:
+        """The metric vector, or ``INFEASIBLE`` if any element is."""
+        cost = _CostVector(
+            float(metrics.get(m, INFEASIBLE)) for m in self.weights)
+        return INFEASIBLE if INFEASIBLE in cost else cost
+
+
+class ParetoPlanner(Planner):
+    """Algorithm 1 over metric vectors, returning a plan frontier.
+
+    :class:`Planner` runs the DP; this class defines its cost: a step is
+    priced as a vector, costs start at the zero vector, and of a list of
+    priced alternatives the non-dominated ones survive, thinned to
+    ``max_frontier``.
     """
 
     def __init__(
@@ -135,157 +114,33 @@ class ParetoPlanner(Planner):
     ) -> None:
         if len(metrics) < 2:
             raise ValueError("Pareto planning needs at least two metrics")
-        super().__init__(library, estimator, allow_moves=allow_moves)
+        super().__init__(library, estimator,
+                         _VectorPolicy(dict.fromkeys(metrics, 1.0)),
+                         allow_moves=allow_moves)
         self.metrics = tuple(metrics)
         self.max_frontier = max_frontier
+        self._zero = _CostVector(0.0 for _ in self.metrics)
 
-    # -- public ----------------------------------------------------------
+    def _frontier(self, priced: list[_T],
+                  key: Callable[[_T], _Vector]) -> list[_T]:
+        """What survives of priced alternatives: the bounded Pareto set."""
+        return prune_frontier(priced, self.max_frontier, key)
+
     def plan_frontier(
         self,
         workflow: AbstractWorkflow,
         available_engines: set[str] | None = None,
+        materialized_results: dict[str, Dataset] | None = None,
     ) -> list[ParetoPlan]:
-        """All Pareto-optimal plans for the workflow's target dataset."""
-        workflow.validate()
-        dp: dict[str, dict[tuple, list[_ParetoEntry]]] = {}
-        targets: _Targets = {}
-        zeros = tuple(0.0 for _ in self.metrics)
-        for name, dataset in workflow.datasets.items():
-            if dataset.materialized:
-                dp[name] = {dataset.signature(): [_ParetoEntry(dataset, zeros)]}
+        """All Pareto-optimal plans for the workflow's target dataset.
 
-        for abstract_op in workflow.topological_operators():
-            in_names = workflow.op_inputs[abstract_op.name]
-            out_names = workflow.op_outputs[abstract_op.name]
-            matches = self.library.find_materialized(abstract_op, available_engines)
-            for mat_op in matches:
-                self._consider_frontier(dp, targets, workflow,
-                                        abstract_op.name, mat_op,
-                                        in_names, out_names)
-
-        target_slots = dp.get(workflow.target)
-        if not target_slots:
-            raise PlanningError(
-                f"no feasible plan produces target {workflow.target!r}")
-        frontier = prune_frontier(
-            [e for entries in target_slots.values() for e in entries],
-            self.max_frontier,
-        )
-        plans = []
-        for entry in frontier:
-            metrics = dict(zip(self.metrics, entry.metrics))
-            plans.append(ParetoPlan(workflow, entry.collect_steps(), metrics))
-        return plans
-
-    # -- internals ---------------------------------------------------------
-    def _vector(self, metrics: dict[str, float]) -> _Vector | None:
-        values = tuple(float(metrics.get(m, INFEASIBLE)) for m in self.metrics)
-        if any(v == INFEASIBLE for v in values):
-            return None
-        return values
-
-    @staticmethod
-    def _add(a: _Vector, b: _Vector) -> _Vector:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def _input_options(
-        self, slots: dict[tuple, list[_ParetoEntry]], target: _InputTarget,
-    ) -> list[_ParetoEntry]:
-        """Frontier of ways to provide one input (direct or via a move).
-
-        Every option is priced as a metric vector; moves are built only for
-        the options the frontier keeps.
+        ``materialized_results`` are finished intermediates to replan around,
+        as in :meth:`Planner.plan`; a finished target yields one empty plan.
         """
-        # (total vector, source entry, the move's (vector, metrics) if any)
-        priced: list[tuple[_Vector, _ParetoEntry,
-                           tuple[_Vector, dict[str, float]] | None]] = []
-        for signature, entries in slots.items():
-            for entry in entries:
-                if target.accepts(signature[1], entry.dataset):
-                    priced.append((entry.metrics, entry, None))
-                elif self.allow_moves:
-                    src = entry.dataset
-                    metrics = self._move_price(src, src.store, target)
-                    move = None if metrics is None else self._vector(metrics)
-                    if metrics is not None and move is not None:
-                        priced.append((self._add(entry.metrics, move), entry,
-                                       (move, metrics)))
-        while True:
-            options: list[_ParetoEntry] = []
-            impossible: set[int] = set()
-            for option in prune_frontier(priced, self.max_frontier, _VECTOR):
-                vector, entry, moved = option
-                if moved is None:
-                    options.append(entry)
-                    continue
-                src = entry.dataset
-                step = self._move_build(src, src.store, target, moved[0][0],
-                                        moved[1])
-                if step is None:
-                    impossible.add(id(option))
-                else:
-                    options.append(
-                        _ParetoEntry(step.outputs[0], vector, step, (entry,)))
-            if not impossible:
-                return options
-            # an impossible move must not shape the frontier: prune again
-            # without it
-            priced = [o for o in priced if id(o) not in impossible]
-
-    def _consider_frontier(
-        self,
-        dp: dict[str, dict[tuple, list[_ParetoEntry]]],
-        targets: _Targets,
-        workflow: AbstractWorkflow,
-        abstract_name: str,
-        mat_op: MaterializedOperator,
-        in_names: list[str],
-        out_names: list[str],
-    ) -> None:
-        """Evaluate one materialized candidate over every input frontier."""
-        # frontier of input combinations, built incrementally with pruning
-        combos: list[tuple[_Vector, tuple[_ParetoEntry, ...]]] = [
-            (tuple(0.0 for _ in self.metrics), ())
-        ]
-        for i, in_name in enumerate(in_names):
-            slots = dp.get(in_name)
-            if not slots:
-                return
-            options = self._input_options(
-                slots, self._input_target(targets, mat_op, i))
-            if not options:
-                return
-            # prune combined partial vectors to keep the product bounded
-            combos = prune_frontier(
-                [(self._add(vec, opt.metrics), parents + (opt,))
-                 for vec, parents in combos
-                 for opt in options],
-                self.max_frontier, _VECTOR)
-
-        for vec, parents in combos:
-            input_datasets = [p.dataset for p in parents]
-            op_vec = self._vector(
-                self.estimator.operator_metrics(mat_op, input_datasets))
-            if op_vec is None:
-                continue
-            total = self._add(vec, op_vec)
-            outputs = []
-            out_size = self.estimator.output_size(mat_op, input_datasets)
-            out_count = self.estimator.output_count(mat_op, input_datasets)
-            for i, out_name in enumerate(out_names):
-                out_ds = mat_op.output_for(workflow.datasets[out_name], i)
-                out_ds.size = out_size
-                out_ds.count = out_count
-                outputs.append(out_ds)
-            step = PlanStep(
-                operator=mat_op, inputs=tuple(input_datasets),
-                outputs=tuple(outputs), estimated_cost=op_vec[0],
-                abstract_name=abstract_name,
-            )
-            entry_parents = tuple(parents)
-            for out_ds in outputs:
-                slot = dp.setdefault(out_ds.name, {})
-                entries = slot.setdefault(out_ds.signature(), [])
-                entries.append(_ParetoEntry(out_ds, total, step, entry_parents))
-                slot[out_ds.signature()] = prune_frontier(
-                    entries, self.max_frontier)
+        with self.tracer.span(f"plan:{workflow.name}", category="planner",
+                              workflow=workflow.name) as span:
+            frontier = self._fill(workflow, available_engines,
+                                  materialized_results, span)
+        return [ParetoPlan(workflow, entry.collect_steps(),
+                           dict(zip(self.metrics, entry.cost)))
+                for entry in frontier]

@@ -19,8 +19,8 @@ Worst-case complexity is ``O(op · m² · k)`` for ``op`` abstract operators,
 from __future__ import annotations
 
 import time
-from operator import itemgetter
-from typing import Protocol, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Protocol, Sequence, TypeVar
 
 from repro.core.dataset import Dataset
 from repro.core.library import MatchStats, MatchTotals, OperatorLibrary
@@ -35,7 +35,12 @@ from repro.core.provenance import (
     CandidateRecord,
     PlanProvenance,
 )
-from repro.core.workflow import AbstractWorkflow, MaterializedPlan, PlanStep
+from repro.core.workflow import (
+    AbstractWorkflow,
+    MaterializedPlan,
+    PlanStep,
+    postorder,
+)
 from repro.obs.context import current_run_id
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
@@ -138,6 +143,10 @@ class MetadataCostEstimator:
 
 #: a dataset's constraint leaves, as ``Dataset.signature()`` lists them
 _Leaves = tuple[tuple[str, str], ...]
+#: what the dpTable minimizes: any value that adds, orders and reads as a
+#: float — :class:`Planner`'s float, the Pareto planner's metric vector
+_Cost = Any
+_T = TypeVar("_T")
 
 
 class _Entry:
@@ -153,7 +162,7 @@ class _Entry:
     def __init__(
         self,
         dataset: Dataset,
-        cost: float,
+        cost: _Cost,
         step: PlanStep | None = None,
         parents: tuple["_Entry", ...] = (),
         leaves: _Leaves = (),
@@ -170,27 +179,11 @@ class _Entry:
 
     def collect_steps(self) -> list[PlanStep]:
         """Topologically ordered, deduplicated steps of this entry's plan."""
-        seen: set[int] = set()
-        ordered: list[PlanStep] = []
-
-        def visit(entry: "_Entry") -> None:
-            if id(entry) in seen:
-                return
-            seen.add(id(entry))
-            for parent in entry.parents:
-                visit(parent)
-            if entry.step is not None:
-                ordered.append(entry.step)
-
-        visit(self)
-        # a step may be shared by several entries; dedupe while keeping order
-        unique: list[PlanStep] = []
-        emitted: set[int] = set()
-        for step in ordered:
-            if id(step) not in emitted:
-                emitted.add(id(step))
-                unique.append(step)
-        return unique
+        # a step may be shared by several entries: its first position stays
+        steps = {id(entry.step): entry.step
+                 for entry in postorder([self], _PARENTS)
+                 if entry.step is not None}
+        return list(steps.values())
 
 
 class _InputTarget:
@@ -202,13 +195,16 @@ class _InputTarget:
     constraint-leaf tuple, of which eight engines produce a handful.
     """
 
-    __slots__ = ("spec", "dst_store", "overlay", "_accepts")
+    __slots__ = ("spec", "dst_store", "movable", "overlay", "_accepts")
 
     def __init__(self, spec: MetadataTree, leaves: _Leaves,
                  engine: str | None) -> None:
         self.spec = spec
         #: the store a move to this input delivers to
         self.dst_store = spec.get("Engine.FS") or spec.get("Engine") or engine
+        #: a spec without constraints leaves a move nothing to convert to:
+        #: whatever it rejects, it rejects for good
+        self.movable = not spec.is_leaf
         #: what a move lays over the moved dataset's description
         self.overlay = [(f"Constraints.{path}", value)
                         for path, value in leaves]
@@ -230,14 +226,28 @@ class _InputTarget:
 
 
 #: one planning pass's targets, by ``(spec leaves, candidate engine)`` —
-#: all of a spec that ``accepts``, pricing and building read
-_Targets = dict[tuple[_Leaves, str | None], _InputTarget]
+#: all of a spec that ``accepts``, pricing and building read — and, to skip
+#: flattening a spec seen before, by ``(operator name, input index)``
+_Targets = dict[tuple, _InputTarget]
+
+#: the dpTable: per dataset node and format, a frontier of entries
+_DpTable = dict[str, dict[tuple, list[_Entry]]]
 
 _BY_COST = itemgetter(0)
+_ENTRY_COST = attrgetter("cost")
+_PARENTS = attrgetter("parents")
 
 
 class Planner:
-    """Dynamic-programming workflow planner (Algorithm 1)."""
+    """Dynamic-programming workflow planner (Algorithm 1).
+
+    A dpTable slot holds a *frontier* of entries.  What a step costs
+    (``policy.scalarize``), where costs start (``_zero``) and which of a list
+    of priced alternatives survive (``_frontier``) are this class's to
+    define: here a float, ``0.0`` and the first cheapest one.
+    """
+
+    _zero: _Cost = 0.0
 
     def __init__(
         self,
@@ -336,10 +346,12 @@ class Planner:
         try:
             with tracer.span(f"plan:{workflow.name}", category="planner",
                              workflow=workflow.name) as span:
-                plan = self._plan_inner(
-                    workflow, available_engines, materialized_results, tracer,
-                    span,
-                )
+                best = self._fill(workflow, available_engines,
+                                  materialized_results, span)[0]
+                plan = MaterializedPlan(workflow, best.collect_steps(),
+                                        float(best.cost))
+                if self.record_provenance and self.last_provenance is not None:
+                    self.last_provenance.finalize(plan)
         except PlanningError:
             wall = time.perf_counter() - wall_start
             _PLANS.inc(status="infeasible", run_id=current_run_id() or "")
@@ -383,38 +395,32 @@ class Planner:
             raise LintFailure(collector, context=f"workflow {workflow.name!r}")
         _PREFLIGHTS.inc(status="ok")
 
-    def _plan_inner(
+    def _fill(
         self,
         workflow: AbstractWorkflow,
         available_engines: set[str] | None,
         materialized_results: dict[str, Dataset] | None,
-        tracer: Tracer,
         span: Span,
-    ) -> MaterializedPlan:
+    ) -> list[_Entry]:
+        """Fill the dpTable; returns the frontier of the target's entries."""
         workflow.validate()
-        dp: dict[str, dict[tuple, _Entry]] = {}
+        tracer = self.tracer
+        dp: _DpTable = {}
         targets: _Targets = {}
         materialized_results = materialized_results or {}
         prov = PlanProvenance(workflow.name) if self.record_provenance else None
         if self.record_provenance:
             self.last_provenance = prov
 
-        # Initialize dpTable with materialized inputs (lines 5-10).
+        # Initialize dpTable with materialized inputs (lines 5-10): sources,
+        # and results computed before the failure this pass replans around.
         for name, dataset in workflow.datasets.items():
-            if name in materialized_results:
-                ds = materialized_results[name]
-                key = ds.signature()
-                dp[name] = {key: _Entry(ds, 0.0, leaves=key[1])}
-                if name == workflow.target:
-                    # the replan's target was computed before the failure;
-                    # nothing is left to plan (mirrors the materialized-source
-                    # early return below)
-                    return MaterializedPlan(workflow, [], 0.0)
-            elif dataset.materialized:
+            dataset = materialized_results.get(name, dataset)
+            if name in materialized_results or dataset.materialized:
                 key = dataset.signature()
-                dp[name] = {key: _Entry(dataset, 0.0, leaves=key[1])}
+                dp[name] = {key: [_Entry(dataset, self._zero, leaves=key[1])]}
                 if name == workflow.target:
-                    return MaterializedPlan(workflow, [], 0.0)
+                    return dp[name][key]  # nothing is left to plan
 
         # Process operators in DAG topological order (line 11 onwards).
         expansions = 0
@@ -452,27 +458,31 @@ class Planner:
         totals.flush()
         _EXPANSIONS.inc(expansions)
 
-        target_entries = dp.get(workflow.target)
-        dp_entries = sum(len(entries) for entries in dp.values())
+        target_slots = dp.get(workflow.target)
+        dp_entries = sum(len(frontier) for slots in dp.values()
+                         for frontier in slots.values())
         _DP_ENTRIES.set(dp_entries)
         if tracer.enabled:
             span.set_attribute("expansions", expansions)
             span.set_attribute("dp_entries", dp_entries)
-        if not target_entries:
+        if not target_slots:
             raise PlanningError(
                 f"no feasible plan produces target {workflow.target!r} "
                 f"(available engines: {sorted(available_engines) if available_engines else 'all'})"
             )
-        best = min(target_entries.values(), key=lambda e: e.cost)
-        plan = MaterializedPlan(workflow, best.collect_steps(), best.cost)
-        if prov is not None:
-            prov.finalize(plan)
-        return plan
+        return self._frontier(
+            [entry for frontier in target_slots.values() for entry in frontier],
+            _ENTRY_COST)
 
     # -- internals ---------------------------------------------------------
+    def _frontier(self, priced: list[_T],
+                  key: Callable[[_T], _Cost]) -> list[_T]:
+        """What survives of priced alternatives: the first cheapest one."""
+        return [min(priced, key=key)] if priced else []
+
     def _consider(
         self,
-        dp: dict[str, dict[tuple, _Entry]],
+        dp: _DpTable,
         targets: _Targets,
         workflow: AbstractWorkflow,
         abstract_name: str,
@@ -482,71 +492,73 @@ class Planner:
         prov: PlanProvenance | None = None,
     ) -> None:
         """Evaluate one materialized candidate (inner loop of Algorithm 1)."""
-        input_cost = 0.0
-        input_entries: list[_Entry] = []
+        # the frontier of input combinations, grown one input at a time so
+        # that costs add up in input order from zero
+        combos: list[tuple[_Cost, tuple[_Entry, ...]]] = [(self._zero, ())]
         for i, in_name in enumerate(in_names):
-            entries = dp.get(in_name)
-            if not entries:
+            slots = dp.get(in_name)
+            if not slots:
                 if prov is not None:
                     prov.note(self._candidate(
                         abstract_name, mat_op, REASON_INPUT_UNPRODUCIBLE))
                 return  # input not producible -> operator infeasible
-            best = self._cheapest_input(
-                entries, self._input_target(targets, mat_op, i))
-            if best is None:
+            options = self._input_options(
+                slots, self._input_target(targets, mat_op, i))
+            if not options:
                 if prov is not None:
                     prov.note(self._candidate(
                         abstract_name, mat_op, REASON_NO_COMPATIBLE_INPUT))
                 return
-            input_cost += best.cost
-            input_entries.append(best)
+            combos = self._frontier(
+                [(cost + option.cost, parents + (option,))
+                 for cost, parents in combos for option in options], _BY_COST)
 
-        input_datasets = [e.dataset for e in input_entries]
-        metrics = self.estimator.operator_metrics(mat_op, input_datasets)
-        operator_cost = self.policy.scalarize(metrics)
-        if operator_cost == INFEASIBLE:
+        for input_cost, parents in combos:
+            input_datasets = [e.dataset for e in parents]
+            metrics = self.estimator.operator_metrics(mat_op, input_datasets)
+            operator_cost = self.policy.scalarize(metrics)
+            if operator_cost == INFEASIBLE:
+                if prov is not None:
+                    prov.note(self._candidate(
+                        abstract_name, mat_op, REASON_COST_INFEASIBLE))
+                continue
+            total_cost = input_cost + operator_cost
             if prov is not None:
-                prov.note(self._candidate(
-                    abstract_name, mat_op, REASON_COST_INFEASIBLE))
-            return
-        total_cost = input_cost + operator_cost
-        if prov is not None:
-            prov.note(CandidateRecord(
-                abstract=abstract_name,
-                operator=mat_op.name,
-                algorithm=mat_op.algorithm,
-                engine=mat_op.engine or "",
-                feasible=True,
-                operator_cost=operator_cost,
-                total_cost=total_cost,
-                predicted=metrics,
-            ))
+                prov.note(CandidateRecord(
+                    abstract=abstract_name,
+                    operator=mat_op.name,
+                    algorithm=mat_op.algorithm,
+                    engine=mat_op.engine or "",
+                    feasible=True,
+                    operator_cost=operator_cost,
+                    total_cost=total_cost,
+                    predicted=metrics,
+                ))
 
-        outputs = []
-        out_size = self.estimator.output_size(mat_op, input_datasets)
-        out_count = self.estimator.output_count(mat_op, input_datasets)
-        for i, out_name in enumerate(out_names):
-            out_ds = mat_op.output_for(workflow.datasets[out_name], i)
-            out_ds.size = out_size
-            out_ds.count = out_count
-            outputs.append(out_ds)
-        step = PlanStep(
-            operator=mat_op,
-            inputs=tuple(input_datasets),
-            outputs=tuple(outputs),
-            estimated_cost=operator_cost,
-            abstract_name=abstract_name,
-            predicted=metrics,
-        )
-        parents = tuple(input_entries)
-        for out_ds in outputs:
-            slot = dp.setdefault(out_ds.name, {})
-            signature = out_ds.signature()
-            key = ("__single__",) if self.single_entry_dp else signature
-            current = slot.get(key)
-            if current is None or total_cost < current.cost:
-                slot[key] = _Entry(out_ds, total_cost, step, parents,
-                                   signature[1])
+            outputs = []
+            out_size = self.estimator.output_size(mat_op, input_datasets)
+            out_count = self.estimator.output_count(mat_op, input_datasets)
+            for i, out_name in enumerate(out_names):
+                out_ds = mat_op.output_for(workflow.datasets[out_name], i)
+                out_ds.size = out_size
+                out_ds.count = out_count
+                outputs.append(out_ds)
+            step = PlanStep(
+                operator=mat_op,
+                inputs=tuple(input_datasets),
+                outputs=tuple(outputs),
+                estimated_cost=float(operator_cost),
+                abstract_name=abstract_name,
+                predicted=metrics,
+            )
+            for out_ds in outputs:
+                slot = dp.setdefault(out_ds.name, {})
+                signature = out_ds.signature()
+                key = ("__single__",) if self.single_entry_dp else signature
+                entry = _Entry(out_ds, total_cost, step, parents, signature[1])
+                # the newcomer goes last: at equal cost the slot's entry stays
+                slot[key] = self._frontier(slot.get(key, []) + [entry],
+                                           _ENTRY_COST)
 
     def _candidate(self, abstract_name: str, mat_op: MaterializedOperator,
                    reason: str) -> CandidateRecord:
@@ -560,47 +572,63 @@ class Planner:
             reason=reason,
         )
 
-    def _cheapest_input(self, entries: dict[tuple, _Entry],
-                        target: _InputTarget) -> _Entry | None:
-        """The cheapest way to feed one input: as-is, or through a move.
+    def _input_options(self, slots: dict[tuple, list[_Entry]],
+                       target: _InputTarget) -> list[_Entry]:
+        """The ways worth keeping to feed one input: as-is, or through a move.
 
         Lines 22-25 of Algorithm 1 need every move's *cost* but only the
-        cheapest input: every dpTable entry is priced, and the move is built
-        for the winner alone.
+        inputs that survive: every dpTable entry is priced, and a move is
+        built only for an option ``_frontier`` keeps.
         """
-        priced: list[tuple[float, _Entry, float, dict[str, float] | None]] = []
-        for entry in entries.values():
-            if target.accepts(entry.leaves, entry.dataset):
-                priced.append((entry.cost, entry, 0.0, None))
-            elif self.allow_moves:
-                metrics = self._move_price(entry.dataset, entry.store, target)
+        # (total cost, source entry, the move's cost and metrics if any)
+        priced: list[tuple[_Cost, _Entry, _Cost, dict[str, float] | None]] = []
+        movable = self.allow_moves and target.movable
+        for entries in slots.values():
+            for entry in entries:
+                if target.accepts(entry.leaves, entry.dataset):
+                    priced.append((entry.cost, entry, None, None))
+                elif movable:
+                    # ``moveCost`` of Algorithm 1
+                    metrics = self.estimator.move_metrics(
+                        entry.dataset, entry.store, target.dst_store)
+                    move_cost = self.policy.scalarize(metrics)
+                    if move_cost != INFEASIBLE:
+                        priced.append((entry.cost + move_cost, entry,
+                                       move_cost, metrics))
+        while True:
+            options: list[_Entry] = []
+            unbuildable: set[int] = set()
+            # ties keep dpTable order, as a strict-< scan would have it
+            for option in self._frontier(priced, _BY_COST):
+                cost, entry, move_cost, metrics = option
                 if metrics is None:
+                    options.append(entry)
                     continue
-                move_cost = self.policy.scalarize(metrics)
-                if move_cost != INFEASIBLE:
-                    priced.append(
-                        (entry.cost + move_cost, entry, move_cost, metrics))
-        # cheapest first; the sort is stable, so equal costs keep dpTable
-        # order and the first entry wins, as a strict-< scan would have it
-        priced.sort(key=_BY_COST)
-        for cost, entry, move_cost, metrics in priced:
-            if metrics is None:
-                return entry
-            step = self._move_build(
-                entry.dataset, entry.store, target, move_cost, metrics)
-            if step is not None:
-                return _Entry(step.outputs[0], cost, step, (entry,))
-        return None
+                step = self._move_build(entry.dataset, entry.store, target,
+                                        float(move_cost), metrics)
+                if step is None:
+                    unbuildable.add(id(option))
+                else:
+                    options.append(
+                        _Entry(step.outputs[0], cost, step, (entry,)))
+            if not unbuildable:
+                return options
+            # an impossible move must not shape the frontier: choose again
+            # without it
+            priced = [o for o in priced if id(o) not in unbuildable]
 
     @staticmethod
     def _input_target(targets: _Targets, mat_op: MaterializedOperator,
                       i: int) -> _InputTarget:
         """The pass's resolved target for input ``i`` of ``mat_op``."""
-        spec = mat_op.input_spec(i)
-        key = (tuple(spec.leaves()), mat_op.engine)
-        target = targets.get(key)
+        target = targets.get((mat_op.name, i))
         if target is None:
-            target = targets[key] = _InputTarget(spec, *key)
+            spec = mat_op.input_spec(i)
+            key = (tuple(spec.leaves()), mat_op.engine)
+            target = targets.get(key)
+            if target is None:
+                target = targets[key] = _InputTarget(spec, *key)
+            targets[mat_op.name, i] = target
         return target
 
     def _move_operator(self, src_store: str | None, dst_store: str | None,
@@ -613,17 +641,6 @@ class Planner:
                               src_fmt, dst_fmt)
             self._move_ops[key] = op
         return op
-
-    def _move_price(self, src: Dataset, src_store: str | None,
-                    target: _InputTarget) -> dict[str, float] | None:
-        """``moveCost`` of Algorithm 1: the metrics of converting ``src``.
-
-        None when the move is pointless: the input spec imposes no
-        constraints to convert to, so the mismatch is structural.
-        """
-        if target.spec.is_leaf:
-            return None
-        return self.estimator.move_metrics(src, src_store, target.dst_store)
 
     def _move_build(self, src: Dataset, src_store: str | None,
                     target: _InputTarget, cost: float,

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -311,9 +311,11 @@ class ClusterScheduler:
             finish = self._now + duration
             run.pending.remove(step)
             run.running += 1
-            run.scheduled[id(step)] = ScheduledStep(step, self._now, finish)
+            cores = request.cores * request.instances if request else 0
+            run.scheduled[id(step)] = ScheduledStep(
+                step, self._now, finish, cores)
             if request is not None:
-                work = duration * request.cores * request.instances
+                work = duration * cores
                 run.consumed_core_seconds += work
                 run.remaining_work = max(run.remaining_work - work, 0.0)
             heapq.heappush(
@@ -463,8 +465,8 @@ class ClusterScheduler:
             raise RuntimeError("finalizing a run that is still in flight")
         steps = list(run.plan.steps)
         schedule = sorted(
-            (ScheduledStep(s.step, s.start - run.arrival,
-                           s.finish - run.arrival)
+            (replace(s, start=s.start - run.arrival,
+                     finish=s.finish - run.arrival)
              for s in run.scheduled.values()),
             key=lambda s: (s.start, run.index[id(s.step)]))
         run.report = ParallelReport(

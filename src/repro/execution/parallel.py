@@ -69,11 +69,21 @@ class ScheduledStep:
     step: PlanStep
     start: float
     finish: float
+    #: cores of the granted container request (0 for data moves, which take
+    #: none) — the accountant bills ``sim_seconds * cores`` to ``engine``
+    cores: int = 0
 
     @property
     def duration(self) -> float:
         """Seconds the step occupies in the schedule."""
         return self.finish - self.start
+
+    sim_seconds = duration
+
+    @property
+    def engine(self) -> str:
+        """Where the step ran, named as the enforcer names it."""
+        return "move" if self.step.is_move else self.step.engine or ""
 
 
 @dataclass
@@ -120,6 +130,16 @@ class ParallelReport:
     def succeeded(self) -> bool:
         """Whether every step of the plan was scheduled and completed."""
         return not self.failures
+
+    @property
+    def sim_time(self) -> float:
+        """The run's simulated seconds, as ``ExecutionReport`` names them."""
+        return self.makespan
+
+    @property
+    def executions(self) -> list[ScheduledStep]:
+        """The steps that ran, as ``ExecutionReport`` names them."""
+        return self.schedule
 
     @property
     def speedup(self) -> float:

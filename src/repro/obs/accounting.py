@@ -101,11 +101,14 @@ def usage_from_report(
     queued_wait_seconds: float = 0.0,
     journal_bytes: int = 0,
 ) -> RunUsage:
-    """Build a :class:`RunUsage` from an enforcer ``ExecutionReport``.
+    """Build a :class:`RunUsage` from a run's report.
 
-    ``report`` is duck-typed (``executions``/``retries``/``replans``/
-    ``sim_time``); pass None for runs that died before producing one —
-    the queue wait and journal bytes are still attributable.
+    ``report`` is duck-typed — the enforcer's ``ExecutionReport`` or the
+    shared cluster's ``ParallelReport``: ``sim_time``, and of each of
+    ``executions`` its ``engine``/``sim_seconds``/``cores``; ``retries`` and
+    ``replans`` where the report counts them.  Pass None for runs that died
+    before producing one — the queue wait and journal bytes are still
+    attributable.
     """
     usage = RunUsage(
         run_id=run_id, tenant=tenant, workflow=workflow, state=state,

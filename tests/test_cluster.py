@@ -152,6 +152,38 @@ def test_service_runs_share_one_cluster():
     assert service.stats()["clusterPolicy"] == "fair"
 
 
+def test_cluster_runs_are_billed_to_their_tenants():
+    """The shared cluster's report carries what the accountant reads."""
+    async def main():
+        service = IResService(_service_factory(), workers=2, cluster="fifo")
+        await service.start()
+        recs = [service.submit("helloworld-chain", tenant=tenant)
+                for tenant in ("a", "b", "a")]
+        for rec in recs:
+            await service.wait(rec.run_id, timeout=120)
+        await service.shutdown()
+        return recs, service.accounts.snapshot()
+
+    recs, accounts = asyncio.run(main())
+    assert all(rec.state == SUCCEEDED for rec in recs)
+    by_run = {usage["runId"]: usage for usage in accounts["recentRuns"]}
+    for rec in recs:
+        usage = by_run[rec.run_id]
+        assert usage["steps"] == rec.summary["steps"] > 0
+        assert usage["simSeconds"] == pytest.approx(rec.summary["makespan"])
+        assert usage["engineCoreSeconds"] and "move" not in usage["engineCoreSeconds"]
+    tenants = {row["tenant"]: row for row in accounts["tenants"]}
+    assert tenants["a"]["runs"] == 2 and tenants["b"]["runs"] == 1
+    # Σ per-tenant = Σ per-run
+    assert sum(row["steps"] for row in tenants.values()) == sum(
+        usage["steps"] for usage in by_run.values())
+    assert sum(row["simSeconds"] for row in tenants.values()) == pytest.approx(
+        sum(usage["simSeconds"] for usage in by_run.values()), abs=1e-5)
+    assert sum(row["totalCoreSeconds"] for row in tenants.values()) == pytest.approx(
+        sum(sum(usage["engineCoreSeconds"].values())
+            for usage in by_run.values()), abs=1e-5)
+
+
 def test_rest_cluster_404_when_disabled():
     async def main():
         service = IResService(_service_factory(), workers=1)

@@ -1,5 +1,7 @@
 """Tests for the Pareto-frontier planner (repro.core.pareto)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import (
@@ -13,13 +15,14 @@ from repro.core import (
     Planner,
 )
 from repro.core.estimators import OracleEstimator
-from repro.core.pareto import ParetoPlanner, dominates, prune_frontier, _ParetoEntry
+from repro.core.pareto import ParetoPlanner, dominates, prune_frontier
 from repro.core.planner import PlanningError
 from repro.scenarios import setup_graph_analytics, setup_text_analytics
 
 
 def entry(metrics):
-    return _ParetoEntry(None, tuple(metrics))
+    """Anything with the ``metrics`` attribute ``prune_frontier`` reads."""
+    return SimpleNamespace(metrics=tuple(metrics))
 
 
 class TestFrontierPrimitives:
@@ -130,3 +133,34 @@ class TestParetoPlanner:
             ires.library, OracleEstimator(ires.cloud),
             max_frontier=2).plan_frontier(make(2.5e4))
         assert len(frontier) <= 2
+
+    def test_frontier_steps_carry_predicted_metrics(self):
+        lib, wf = two_impl_workflow()
+        for plan in ParetoPlanner(lib).plan_frontier(wf):
+            [step] = plan.steps
+            assert step.predicted["execTime"] == plan.metrics["execTime"]
+            assert step.predicted["cost"] == plan.metrics["cost"]
+
+    def test_finished_intermediate_drops_its_producer_from_every_plan(self):
+        ires = IReS()
+        make = setup_text_analytics(ires)
+        planner = ParetoPlanner(ires.library, OracleEstimator(ires.cloud))
+        cold = planner.plan_frontier(make(2.5e4))
+        first = cold[0].steps[0]
+        [finished] = first.outputs
+        finished.materialized = True
+        warm = planner.plan_frontier(
+            make(2.5e4), materialized_results={finished.name: finished})
+        assert warm
+        for plan in warm:
+            assert first.abstract_name not in {
+                s.abstract_name for s in plan.steps}
+            assert len(plan.steps) < len(cold[0].steps)
+
+    def test_finished_target_is_one_empty_plan(self):
+        lib, wf = two_impl_workflow()
+        done = Dataset("out", {"Constraints.type": "x"}, materialized=True)
+        [plan] = ParetoPlanner(lib).plan_frontier(
+            wf, materialized_results={"out": done})
+        assert plan.steps == []
+        assert plan.metrics == {"execTime": 0.0, "cost": 0.0}

@@ -13,6 +13,7 @@ from repro.core import (
     AbstractOperator,
     AbstractWorkflow,
     Dataset,
+    IReS,
     MaterializedOperator,
     MetadataCostEstimator,
     OperatorLibrary,
@@ -20,8 +21,10 @@ from repro.core import (
     Planner,
     PlanningError,
 )
+from repro.core.estimators import OracleEstimator
 from repro.core.metadata import MetadataTree
 from repro.core.pareto import ParetoPlanner
+from repro.scenarios import setup_graph_analytics, setup_text_analytics
 from repro.workflows import generate, synthetic_library
 
 
@@ -325,6 +328,38 @@ def test_materialized_results_target_returns_empty_plan():
     assert plan.cost == 0.0
 
 
+# -- deep pipelines --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("consumer_first", [False, True],
+                         ids=["producer-first", "consumer-first"])
+def test_deep_chain_plans_without_recursion(consumer_first):
+    """A 1 500-stage chain plans: no walk recurses once per DAG level."""
+    stages = 1500
+    wf = AbstractWorkflow("deep")
+    wf.add_dataset(Dataset("d0", {"Constraints.type": "data"},
+                           materialized=True))
+    for i in range(1, stages + 1):
+        wf.add_dataset(Dataset(f"d{i}"))
+    order = range(stages)
+    for i in reversed(order) if consumer_first else order:
+        wf.add_operator(AbstractOperator(f"op{i}", {
+            "Constraints.OpSpecification.Algorithm.name": "stage"}))
+        wf.connect(f"d{i}", f"op{i}")
+        wf.connect(f"op{i}", f"d{i + 1}")
+    wf.set_target(f"d{stages}")
+    library = synthetic_library(wf, 2)
+    in_order = [f"op{i}" for i in order]
+
+    assert [op.name for op in wf.topological_operators()] == in_order
+    plan = Planner(library, MetadataCostEstimator()).plan(wf)
+    assert [s.abstract_name for s in plan.steps] == in_order
+    frontier = ParetoPlanner(library, MetadataCostEstimator(),
+                             max_frontier=2).plan_frontier(wf)
+    assert all([s.abstract_name for s in p.steps if not s.is_move] == in_order
+               for p in frontier)
+
+
 # -- price every move, build only the winner ----------------------------------
 
 
@@ -455,9 +490,9 @@ def _plan_digest(plan):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _plan_goldens():
+def _plan_goldens(kind="plans"):
     path = Path(__file__).parent / "fixtures" / "plan_goldens.json"
-    return json.loads(path.read_text())["plans"]
+    return json.loads(path.read_text())[kind]
 
 
 @pytest.mark.parametrize(
@@ -472,6 +507,34 @@ def test_montage_plans_match_recorded_goldens(golden):
     assert plan.cost == golden["cost"]
     assert len(plan.steps) == golden["steps"]
     assert _plan_digest(plan) == golden["digest"]
+
+
+def _golden_frontier(case):
+    """The frontier a golden's ``case`` names, as ``[[vector, digest], ...]``."""
+    if "scenario" in case:
+        ires = IReS()
+        make = {"text": setup_text_analytics,
+                "graph": setup_graph_analytics}[case["scenario"]](ires)
+        workflow, library = make(case["size"]), ires.library
+        estimator = OracleEstimator(ires.cloud)
+    else:
+        workflow = generate("Montage", case["nodes"], seed=case["seed"])
+        library = synthetic_library(workflow, case["engines"],
+                                    seed=case["seed"] + 1)
+        estimator = MetadataCostEstimator()
+    frontier = ParetoPlanner(
+        library, estimator, max_frontier=case["max_frontier"],
+    ).plan_frontier(workflow)
+    return [[list(plan.metrics.values()), _plan_digest(plan)]
+            for plan in frontier]
+
+
+@pytest.mark.parametrize(
+    "golden", _plan_goldens("frontiers"),
+    ids=lambda g: "-".join(str(v) for v in g["case"].values()))
+def test_frontiers_match_recorded_goldens(golden):
+    """Metric vectors and per-plan steps are those of the separate Pareto DP."""
+    assert _golden_frontier(golden["case"]) == golden["frontier"]
 
 
 # -- Algorithm 1's optimality claim, against enumeration ------------------------

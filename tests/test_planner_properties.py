@@ -12,7 +12,9 @@ from repro.core import (
     OperatorLibrary,
     Planner,
 )
+from repro.core.pareto import ParetoPlanner
 from repro.core.planner import MetadataCostEstimator, PlanningError
+from repro.workflows import CATEGORIES, generate, synthetic_library
 
 STORES = ["s0", "s1", "s2"]
 
@@ -169,3 +171,27 @@ def test_indexed_lookup_equals_full_scan(library, alg, engines):
     scanned = {m.name for m in library.find_materialized(
         abstract, available_engines=engines, use_index=False)}
     assert indexed == scanned
+
+
+@given(st.sampled_from(sorted(CATEGORIES)), st.sampled_from((20, 30, 50)),
+       st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=15, deadline=None)
+def test_frontier_of_one_is_the_scalar_optimum(category, nodes, engines, seed):
+    """Scalar planning is Pareto planning at frontier width 1, bit for bit.
+
+    The width-1 frontier and the 16-wide frontier's fastest plan both cost
+    exactly what ``Planner`` minimizing ``execTime`` finds.
+    """
+    def fresh():
+        workflow = generate(category, nodes, seed=seed)
+        return synthetic_library(workflow, engines, seed=seed + 1), workflow
+
+    library, workflow = fresh()
+    optimum = Planner(library, MetadataCostEstimator()).plan(workflow).cost
+    library, workflow = fresh()
+    [only] = ParetoPlanner(library, MetadataCostEstimator(),
+                           max_frontier=1).plan_frontier(workflow)
+    assert only.metrics["execTime"] == optimum
+    library, workflow = fresh()
+    wide = ParetoPlanner(library, MetadataCostEstimator()).plan_frontier(workflow)
+    assert min(p.metrics["execTime"] for p in wide) == optimum
