@@ -71,6 +71,7 @@ platform and returns the typed ``IRES0xx`` diagnostics report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.core.dataset import Dataset
@@ -595,7 +596,9 @@ class IResServer:
             "model": model.model_name,
             "samples": model.n_samples,
             "features": model.feature_names,
-            "cvScores": {k: round(v, 4) for k, v in model.cv_scores.items()},
+            # a model that could not be scored carries inf; JSON has none
+            "cvScores": {k: round(v, 4) if math.isfinite(v) else None
+                         for k, v in model.cv_scores.items()},
         })
 
 

@@ -93,9 +93,9 @@ class IReS:
         #: memoized plans for recurring submissions and warm replans; pass
         #: plan_cache=False (or a configured PlanCache instance) to override.
         #: Invalidation wiring: library add/remove bumps the library epoch;
-        #: drift alarms bump the model epoch; model refits bump it only under
-        #: estimator="models" (the oracle estimator ignores trained models,
-        #: so refits cannot change its plans).
+        #: drift alarms bump the model epoch; a model turning due bumps it
+        #: only under estimator="models" (the oracle estimator ignores
+        #: trained models, so they cannot change its plans).
         if plan_cache is True:
             self.plan_cache: PlanCache | None = PlanCache()
         elif plan_cache is False or plan_cache is None:
@@ -215,8 +215,10 @@ class IReS:
         report = self.executor.execute(
             workflow, cache=self.result_cache if reuse else None,
             control=control, run_id=run_id, resume_from=resume_from)
-        # refinement trainings happen after the run but belong to it — keep
-        # their spans/metrics correlated under the run's id
+        # refinement never fits here: each executed pair is told its model is
+        # out of date and the next reader of that model (a models-backed
+        # plan, GET /models, save) fits it.  What does happen under the
+        # run's id is the listeners' work — a plan-cache epoch bump
         with bind_run_id(report.run_id):
             for execution in report.executions:
                 if execution.engine != "move" and execution.success:

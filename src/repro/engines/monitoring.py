@@ -135,10 +135,20 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self._records: list[MetricRecord] = []
+        #: the same records per (algorithm, engine), in append order — every
+        #: record of the pair and its successes — so a request never walks
+        #: the platform's whole history to find its own pair
+        self._by_pair: dict[tuple[str, str],
+                            tuple[list[MetricRecord], list[MetricRecord]]] = {}
 
     def record(self, record: MetricRecord) -> None:
         """Append one execution record."""
         self._records.append(record)
+        every, successes = self._by_pair.setdefault(
+            (record.algorithm, record.engine), ([], []))
+        every.append(record)
+        if record.success:
+            successes.append(record)
 
     def all(self) -> list[MetricRecord]:
         """Every stored record (copy)."""
@@ -150,17 +160,16 @@ class MetricsCollector:
     def for_operator(
         self, algorithm: str, engine: str | None = None, successes_only: bool = True
     ) -> list[MetricRecord]:
-        """Records of one (algorithm, engine) pair."""
-        out = []
-        for r in self._records:
-            if r.algorithm != algorithm:
-                continue
-            if engine is not None and r.engine != engine:
-                continue
-            if successes_only and not r.success:
-                continue
-            out.append(r)
-        return out
+        """Records of one (algorithm, engine) pair, in append order."""
+        if engine is None:  # every engine of the algorithm: the one full scan
+            return [r for r in self._records if r.algorithm == algorithm
+                    and (r.success or not successes_only)]
+        every, successes = self._by_pair.get((algorithm, engine), ((), ()))
+        return list(successes if successes_only else every)
+
+    def sample_count(self, algorithm: str, engine: str) -> int:
+        """Number of successful runs stored for a pair."""
+        return len(self._by_pair.get((algorithm, engine), ((), ()))[1])
 
     def failures(self) -> list[MetricRecord]:
         """Records of failed runs (OOM etc.)."""
@@ -241,20 +250,22 @@ class MetricsCollector:
                 raise ValueError(
                     f"{path}: malformed record on line {i + 1}: {exc}"
                 ) from exc
-            self._records.append(record)
+            self.record(record)
             count += 1
         return count
 
     def training_matrix(
         self, algorithm: str, engine: str, feature_names: Iterable[str] | None = None,
-        window: int | None = None,
+        window: int | None = None, first: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Build (X, y, feature_names) for model fitting from stored runs.
 
         ``window`` keeps only the newest N records — drift-triggered refits
         use it to train on post-drift reality instead of the mixed history.
+        ``first`` keeps only the oldest N: the store as it stood when the
+        pair had N successful runs (a fit that was due then, made now).
         """
-        records = self.for_operator(algorithm, engine)
+        records = self.for_operator(algorithm, engine)[:first]
         if window is not None and window > 0:
             records = records[-window:]
         if not records:

@@ -28,6 +28,7 @@ from repro.models.discretize import RegressionByDiscretization
 from repro.models.validation import (
     KFold,
     cross_val_score,
+    cv_folds,
     default_model_zoo,
     fast_model_zoo,
     rmse,
@@ -48,6 +49,7 @@ __all__ = [
     "RegressionByDiscretization",
     "KFold",
     "cross_val_score",
+    "cv_folds",
     "default_model_zoo",
     "fast_model_zoo",
     "rmse",

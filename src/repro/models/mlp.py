@@ -34,14 +34,35 @@ class MultilayerPerceptron(Model):
         self._weights: list[np.ndarray] = []
         self._biases: list[np.ndarray] = []
 
-    def _init_params(self, n_in: int, rng: np.random.Generator) -> None:
+    def _init_params(self, n_in: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw the initial weights; returns the flat parameter vector.
+
+        Every layer's weights and biases live in one vector and
+        ``_weights`` / ``_biases`` are views into it, so an optimizer step
+        updates the whole network with one set of array operations.
+        """
         sizes = [n_in, *self.hidden, 1]
-        self._weights = []
-        self._biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        theta = np.zeros(sum(i * o + o for i, o in shapes))
+        self._weights, self._biases = self._views(theta, shapes)
+        for W, (fan_in, fan_out) in zip(self._weights, shapes):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self._weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self._biases.append(np.zeros(fan_out))
+            W[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        return theta
+
+    @staticmethod
+    def _views(
+        flat: np.ndarray, shapes: list[tuple[int, int]]
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (weights, biases) views into one flat vector."""
+        weights, biases = [], []
+        at = 0
+        for fan_in, fan_out in shapes:
+            weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+            at += fan_in * fan_out
+            biases.append(flat[at : at + fan_out])
+            at += fan_out
+        return weights, biases
 
     def _forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         activations = [X]
@@ -55,12 +76,12 @@ class MultilayerPerceptron(Model):
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         rng = np.random.default_rng(self.seed)
         n = X.shape[0]
-        self._init_params(X.shape[1], rng)
+        theta = self._init_params(X.shape[1], rng)
+        grad = np.zeros_like(theta)
+        grads_w, grads_b = self._views(grad, [W.shape for W in self._weights])
         # Adam state.
-        m_w = [np.zeros_like(W) for W in self._weights]
-        v_w = [np.zeros_like(W) for W in self._weights]
-        m_b = [np.zeros_like(b) for b in self._biases]
-        v_b = [np.zeros_like(b) for b in self._biases]
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
         batch = min(self.batch_size, n)
@@ -71,25 +92,18 @@ class MultilayerPerceptron(Model):
                 xb, yb = X[idx], y[idx]
                 out, acts = self._forward(xb)
                 delta = (out.ravel() - yb).reshape(-1, 1) * (2.0 / len(idx))
-                grads_w: list[np.ndarray] = [None] * len(self._weights)
-                grads_b: list[np.ndarray] = [None] * len(self._biases)
                 for layer in range(len(self._weights) - 1, -1, -1):
                     a_prev = acts[layer]
-                    grads_w[layer] = a_prev.T @ delta + self.l2 * self._weights[layer]
-                    grads_b[layer] = delta.sum(axis=0)
+                    grads_w[layer][...] = a_prev.T @ delta + self.l2 * self._weights[layer]
+                    grads_b[layer][...] = delta.sum(axis=0)
                     if layer > 0:
                         delta = (delta @ self._weights[layer].T) * (1 - acts[layer] ** 2)
                 step += 1
-                for layer in range(len(self._weights)):
-                    for params, grads, ms, vs in (
-                        (self._weights, grads_w, m_w, v_w),
-                        (self._biases, grads_b, m_b, v_b),
-                    ):
-                        ms[layer] = beta1 * ms[layer] + (1 - beta1) * grads[layer]
-                        vs[layer] = beta2 * vs[layer] + (1 - beta2) * grads[layer] ** 2
-                        m_hat = ms[layer] / (1 - beta1**step)
-                        v_hat = vs[layer] / (1 - beta2**step)
-                        params[layer] -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+                m = beta1 * m + (1 - beta1) * grad
+                v = beta2 * v + (1 - beta2) * grad**2
+                m_hat = m / (1 - beta1**step)
+                v_hat = v / (1 - beta2**step)
+                theta -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         out, _ = self._forward(X)

@@ -46,12 +46,12 @@ class RBFNetwork(Model):
         rng = np.random.default_rng(self.seed)
         k = min(self.n_centers, X.shape[0])
         self._centers = _kmeans_centers(X, k, rng)
-        # Width = average inter-center distance (classic heuristic).
-        if k > 1:
-            d2 = ((self._centers[:, None, :] - self._centers[None, :, :]) ** 2).sum(-1)
-            self._width = float(np.sqrt(d2[d2 > 0].mean())) or 1.0
-        else:
-            self._width = 1.0
+        # Width = average inter-center distance (classic heuristic); 1.0
+        # when no two centers differ — a recurring workflow re-runs on the
+        # same inputs, so every sample of its pair can be the same point.
+        d2 = ((self._centers[:, None, :] - self._centers[None, :, :]) ** 2).sum(-1)
+        apart = d2[d2 > 0]
+        self._width = float(np.sqrt(apart.mean())) if apart.size else 1.0
         Phi = rbf_kernel(X, self._centers, self._width)
         Phi = np.hstack([Phi, np.ones((Phi.shape[0], 1))])
         A = Phi.T @ Phi + self.ridge * np.eye(Phi.shape[1])

@@ -49,19 +49,36 @@ class KFold:
             yield train, test
 
 
+Folds = list[tuple[np.ndarray, np.ndarray]]
+
+
+def cv_folds(n: int, n_splits: int = 5, seed: int = 23) -> Folds:
+    """The (train, test) index pairs :func:`cross_val_score` scores on.
+
+    Small sample sets get fewer folds, so every test fold holds >= 2 rows.
+    """
+    return list(KFold(n_splits=min(n_splits, max(2, n // 2)), seed=seed).split(n))
+
+
 def cross_val_score(
     model_factory: Callable[[], Model],
     X,
     y,
     n_splits: int = 5,
     seed: int = 23,
+    folds: Folds | None = None,
 ) -> float:
-    """Mean RMSE of a model class across k folds (lower is better)."""
+    """Mean RMSE of a model class across k folds (lower is better).
+
+    ``folds`` (from :func:`cv_folds`) lets a caller scoring several models
+    on the same data build the split once.
+    """
     X = as_2d(X)
     y = as_1d(y)
-    kf = KFold(n_splits=min(n_splits, max(2, len(y) // 2)), seed=seed)
+    if folds is None:
+        folds = cv_folds(len(y), n_splits, seed)
     scores = []
-    for train, test in kf.split(len(y)):
+    for train, test in folds:
         model = model_factory()
         model.fit(X[train], y[train])
         scores.append(rmse(y[test], model.predict(X[test])))
@@ -119,12 +136,16 @@ def select_best_model(
     if len(y) < 4:
         model = LinearRegression().fit(X, y)
         return model, "LinearRegression", {}
+    folds = cv_folds(len(y), n_splits, seed)
     scores: dict[str, float] = {}
     for name, factory in zoo.items():
         try:
-            scores[name] = cross_val_score(factory, X, y, n_splits=n_splits, seed=seed)
+            score = cross_val_score(factory, X, y, folds=folds)
         except (np.linalg.LinAlgError, ValueError):
-            scores[name] = float("inf")
+            score = float("inf")
+        # a model that cannot be scored (NaN included) never wins, wherever
+        # it sits in the zoo: min() would keep a NaN it met first
+        scores[name] = score if np.isfinite(score) else float("inf")
     winner = min(scores, key=scores.get)
     model = zoo[winner]().fit(X, y)
     return model, winner, scores

@@ -145,6 +145,33 @@ class TestModels:
         assert response.status == 200
         assert response.body["samples"] >= 2
 
+    def test_model_info_of_a_recurring_workflow_is_strict_json(self, server):
+        """Six runs on the same inputs: every sample of a pair is one point,
+        which RBFNetwork used to score NaN — a token JSON does not have."""
+        import json
+
+        def reject(token):
+            raise AssertionError(f"non-finite {token} in /models body")
+
+        for _ in range(6):
+            server.handle("POST", "/abstractWorkflows/text/execute")
+        response = server.handle("GET", "/models/TF_IDF/scikit")
+        assert response.status == 200
+        body = json.loads(response.payload(), parse_constant=reject)
+        assert body["samples"] == 6
+        assert set(body["cvScores"]) == set(server.ires.modeler.zoo)
+        assert all(isinstance(score, float) for score in body["cvScores"].values())
+
+    def test_an_unscorable_model_is_null_in_the_body(self, server):
+        import json
+
+        for _ in range(2):
+            server.handle("POST", "/abstractWorkflows/text/execute")
+        server.ires.modeler.get("TF_IDF", "scikit").cv_scores["Broken"] = float("inf")
+        response = server.handle("GET", "/models/TF_IDF/scikit")
+        body = json.loads(response.payload(), parse_constant=lambda t: 1 / 0)
+        assert body["cvScores"]["Broken"] is None
+
 
 class TestErrorPaths:
     def test_materialize_with_no_engines_conflicts(self, server):

@@ -237,6 +237,114 @@ def test_select_best_model_tiny_dataset_falls_back():
     assert scores == {}
 
 
+def test_identical_feature_rows_score_finite_for_every_model():
+    """A recurring workflow re-runs on the same inputs: a pair's feature rows
+    coincide, and RBFNetwork's width used to be the mean of nothing."""
+    import warnings
+
+    X = np.tile([[11.5, 4.6, 2.2, 1.6]], (6, 1))
+    y = np.array([2.30, 2.31, 2.29, 2.33, 2.30, 2.32])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, winner, scores = select_best_model(X, y)
+    assert set(scores) == set(default_model_zoo())
+    assert all(np.isfinite(score) for score in scores.values()), scores
+    assert scores[winner] == min(scores.values())
+
+
+def test_a_model_scoring_nan_never_wins_wherever_it_sits_in_the_zoo():
+    class Undefined(LinearRegression):
+        def _predict(self, X):
+            return np.full(X.shape[0], np.nan)
+
+    X, y = linear_data(n=20)
+    for zoo in ({"Undefined": Undefined, "LinearRegression": LinearRegression},
+                {"LinearRegression": LinearRegression, "Undefined": Undefined}):
+        _, winner, scores = select_best_model(X, y, zoo=zoo)
+        assert winner == "LinearRegression"
+        assert scores["Undefined"] == float("inf")
+
+
+def test_select_best_model_builds_its_folds_once(monkeypatch):
+    from repro.models import validation
+
+    splits = []
+    original = validation.KFold.split
+
+    def counting(self, n):
+        splits.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(validation.KFold, "split", counting)
+    X, y = linear_data(n=20)
+    zoo = {"a": LinearRegression, "b": LinearRegression, "c": RegressionTree}
+    _, _, scores = select_best_model(X, y, zoo=zoo)
+    assert splits == [20]
+    assert scores["a"] == scores["b"] == cross_val_score(LinearRegression, X, y)
+
+
+class PerLayerAdamMLP(MultilayerPerceptron):
+    """The reference: one Adam update per layer and per weights/biases, the
+    way the network was trained before its parameters shared one vector."""
+
+    def _fit(self, X, y):
+        rng = np.random.default_rng(self.seed)
+        n = X.shape[0]
+        sizes = [X.shape[1], *self.hidden, 1]
+        self._weights, self._biases = [], []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            self._weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+            self._biases.append(np.zeros(fan_out))
+        m_w = [np.zeros_like(W) for W in self._weights]
+        v_w = [np.zeros_like(W) for W in self._weights]
+        m_b = [np.zeros_like(b) for b in self._biases]
+        v_b = [np.zeros_like(b) for b in self._biases]
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        step = 0
+        batch = min(self.batch_size, n)
+        for _ in range(self.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch):
+                idx = order[start : start + batch]
+                out, acts = self._forward(X[idx])
+                delta = (out.ravel() - y[idx]).reshape(-1, 1) * (2.0 / len(idx))
+                grads_w = [None] * len(self._weights)
+                grads_b = [None] * len(self._biases)
+                for layer in range(len(self._weights) - 1, -1, -1):
+                    grads_w[layer] = (acts[layer].T @ delta
+                                      + self.l2 * self._weights[layer])
+                    grads_b[layer] = delta.sum(axis=0)
+                    if layer > 0:
+                        delta = (delta @ self._weights[layer].T) * (1 - acts[layer] ** 2)
+                step += 1
+                for layer in range(len(self._weights)):
+                    for params, grads, ms, vs in (
+                        (self._weights, grads_w, m_w, v_w),
+                        (self._biases, grads_b, m_b, v_b),
+                    ):
+                        ms[layer] = beta1 * ms[layer] + (1 - beta1) * grads[layer]
+                        vs[layer] = beta2 * vs[layer] + (1 - beta2) * grads[layer] ** 2
+                        m_hat = ms[layer] / (1 - beta1**step)
+                        v_hat = vs[layer] / (1 - beta2**step)
+                        params[layer] -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("n", [5, 9, 40])
+@pytest.mark.parametrize("config", [
+    dict(epochs=40), dict(hidden=(16,), epochs=30, batch_size=64),
+    dict(epochs=15, batch_size=7)])
+def test_mlp_one_vector_training_equals_per_layer_training(n, config):
+    """The arithmetic is unchanged, so the predictions are equal, not close."""
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 4))
+    y = X.sum(axis=1) + rng.normal(size=n) * 0.1
+    probe = rng.normal(size=(13, 4))
+    assert np.array_equal(
+        MultilayerPerceptron(**config).fit(X, y).predict(probe),
+        PerLayerAdamMLP(**config).fit(X, y).predict(probe))
+
+
 def test_default_zoo_has_all_paper_models():
     names = set(default_model_zoo())
     assert names == {

@@ -79,6 +79,60 @@ class TestMetricRecord:
         assert collector.for_operator("alg", "E1", successes_only=False) == [ok, bad]
         assert collector.failures() == [bad]
 
+    def test_indexed_lookup_equals_a_scan_of_the_store(self, tmp_path):
+        """for_operator answers from a per-pair index; it must say what a
+        walk over every record says, in the same order."""
+        import numpy as np
+
+        from repro.engines.monitoring import resilience_event
+
+        rng = np.random.default_rng(7)
+        collector = MetricsCollector()
+        algorithms, engines = ("alg", "other", "third"), ("E1", "E2", "E3")
+        for i in range(400):
+            if rng.random() < 0.1:
+                collector.record(resilience_event(
+                    "retry", engines[rng.integers(3)], at=float(i)))
+                continue
+            collector.record(MetricRecord(
+                f"op{i}", algorithms[rng.integers(3)], engines[rng.integers(3)],
+                float(i), float(i), success=bool(rng.random() < 0.8)))
+
+        def scan(store, algorithm, engine, successes_only):
+            return [r for r in store.all() if r.algorithm == algorithm
+                    and (engine is None or r.engine == engine)
+                    and (r.success or not successes_only)]
+
+        path = tmp_path / "records.jsonl"
+        collector.save(path)
+        reloaded = MetricsCollector()
+        reloaded.load(path)
+        assert reloaded.all() == collector.all()
+        for store in (collector, reloaded):
+            for algorithm in algorithms + ("__resilience__", "absent"):
+                for engine in engines + (None, "absent"):
+                    for successes_only in (True, False):
+                        assert store.for_operator(
+                            algorithm, engine, successes_only
+                        ) == scan(store, algorithm, engine, successes_only)
+                    if engine is not None:
+                        assert store.sample_count(algorithm, engine) == len(
+                            scan(store, algorithm, engine, True))
+        # the answer is a copy: a caller's edits do not reach the index
+        collector.for_operator("alg", "E1").clear()
+        assert collector.for_operator("alg", "E1") == scan(
+            collector, "alg", "E1", True)
+
+    def test_training_matrix_first_is_the_store_as_it_stood(self):
+        collector = MetricsCollector()
+        for i in range(1, 7):
+            collector.record(MetricRecord("a", "alg", "E", float(i), 0.0,
+                                          input_count=i))
+        _, y, _ = collector.training_matrix("alg", "E", first=4)
+        assert y.tolist() == [1.0, 2.0, 3.0, 4.0]
+        _, y, _ = collector.training_matrix("alg", "E", first=4, window=2)
+        assert y.tolist() == [3.0, 4.0]
+
     def test_training_matrix_empty_when_no_records(self):
         collector = MetricsCollector()
         X, y, names = collector.training_matrix("alg", "E")
