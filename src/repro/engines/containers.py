@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.engines.cluster import Cluster, Node
+from repro.engines.cluster import HEALTHY, Cluster, Node
 from repro.engines.errors import InsufficientResourcesError
 
 
@@ -53,17 +53,22 @@ class ContainerScheduler:
         Placement is first-fit over healthy nodes sorted by free cores
         (descending), the usual YARN-ish spreading heuristic.
         """
+        granted = self.try_allocate(request)
+        if granted is None:
+            raise InsufficientResourcesError(
+                f"cannot place {request} (available: "
+                f"{self.cluster.available_cores} cores, "
+                f"{self.cluster.available_memory_gb:.1f} GB)"
+            )
+        return granted
+
+    def try_allocate(self, request: ContainerRequest) -> list[Container] | None:
+        """:meth:`allocate`, answering a request that does not fit with None."""
+        if not self.fits(request):
+            return None
         granted: list[Container] = []
         for _ in range(request.instances):
             node = self._pick_node(request)
-            if node is None:
-                for c in granted:
-                    self.release(c)
-                raise InsufficientResourcesError(
-                    f"cannot place {request} (available: "
-                    f"{self.cluster.available_cores} cores, "
-                    f"{self.cluster.available_memory_gb:.1f} GB)"
-                )
             node.cores_used += request.cores
             node.memory_used += request.memory_gb
             container = Container(
@@ -73,15 +78,43 @@ class ContainerScheduler:
             granted.append(container)
         return granted
 
-    def _pick_node(self, request: ContainerRequest) -> Node | None:
-        candidates = [
-            n
-            for n in self.cluster.healthy_nodes()
-            if n.cores_free >= request.cores and n.memory_free >= request.memory_gb
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda n: (n.cores_free, n.memory_free))
+    def fits(self, request: ContainerRequest) -> bool:
+        """Whether every instance of the request can be granted right now.
+
+        A grant only changes the node it lands on, so the instances that
+        fit are a per-node count, summed over healthy nodes.  The count
+        repeats a grant's own arithmetic (``memory_used += m``, then
+        ``memory_gb - memory_used >= m``): in floating point, any other
+        form of the same comparison disagrees with the grant on some sizes.
+        """
+        wanted = request.instances
+        for node in self.cluster.nodes.values():
+            if node.health != HEALTHY:  # not the property: this is the hot loop
+                continue
+            cores_free = node.cores - node.cores_used
+            memory_used = node.memory_used
+            while (cores_free >= request.cores
+                   and node.memory_gb - memory_used >= request.memory_gb):
+                wanted -= 1
+                if not wanted:
+                    return True
+                cores_free -= request.cores
+                memory_used += request.memory_gb
+        return False
+
+    def _pick_node(self, request: ContainerRequest) -> Node:
+        """The first node, in node order, with the most free (cores, memory)
+        among the healthy ones that can take an instance; :meth:`fits`
+        has established that there is one."""
+        best, best_free = None, (0, 0.0)  # less than any node that fits
+        for node in self.cluster.nodes.values():
+            if node.health != HEALTHY:  # not the property: this is the hot loop
+                continue
+            free = (node.cores - node.cores_used, node.memory_gb - node.memory_used)
+            if (free[0] >= request.cores and free[1] >= request.memory_gb
+                    and free > best_free):
+                best, best_free = node, free
+        return best
 
     def release(self, container: Container) -> None:
         """Return a container's resources (idempotent)."""

@@ -32,18 +32,19 @@ empty — fails the same way instead of aborting the run; only a plan with
 *no* placeable compute step raises
 :class:`~repro.execution.parallel.SchedulingError`.
 
-The loop is cooperative and thread-safe: any thread whose run is still
-in flight may drive events (the service's workers all block in
-:meth:`execute`), with one driver at a time advancing the shared virtual
-clock.  Per-run spans and resilience events are recorded under the run's
-id at finalization, so traces attribute correctly even though steps of
-many runs interleave on one timeline.
+The loop is thread-safe, not cooperative: one lock guards all of its
+state, and whichever thread holds it drives *every* event — other runs'
+included — until its own run is done (:meth:`execute`) or nothing is in
+flight (:meth:`run_until_idle`); a :meth:`submit` from another thread
+waits for that.  Runs share the cluster only when they are admitted
+before the driving starts.  Per-run spans and resilience events are
+recorded under the run's id at finalization, so traces attribute
+correctly even though steps of many runs interleave on one timeline.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,7 +53,6 @@ from repro.analysis.runtime_check import make_lock
 from repro.core.workflow import MaterializedPlan, PlanStep
 from repro.engines.cluster import Cluster
 from repro.engines.containers import Container, ContainerRequest, ContainerScheduler
-from repro.engines.errors import InsufficientResourcesError
 from repro.engines.monitoring import resilience_event
 from repro.engines.registry import MultiEngineCloud
 from repro.execution.parallel import (
@@ -123,15 +123,20 @@ class ClusterRun:
     durations: dict[int, float] = field(default_factory=dict)
     failures: dict[int, StepFailure] = field(default_factory=dict)
     speculations: list[tuple[SpeculationRecord, PlanStep]] = field(default_factory=list)
-    deps: dict[int, set[int]] = field(default_factory=dict)
     requests: dict[int, ContainerRequest | None] = field(default_factory=dict)
     crit: dict[int, float] = field(default_factory=dict)  # remaining critical path
     total_crit: float = 0.0
     #: core·seconds of container-backed steps not yet placed
     remaining_work: float = 0.0
     index: dict[int, int] = field(default_factory=dict)  # id(step) -> plan position
-    pending: list[PlanStep] = field(default_factory=list)
-    done: set[int] = field(default_factory=set)
+    #: id(step) -> its consumers among the steps that survived admission
+    consumers: dict[int, list[PlanStep]] = field(default_factory=dict)
+    #: id(step) -> producers whose finish event has not been consumed yet
+    unmet: dict[int, int] = field(default_factory=dict)
+    #: steps with no unmet producer that hold no containers yet
+    ready: list[PlanStep] = field(default_factory=list)
+    unplaced: int = 0  # surviving steps not placed yet, ready or not
+    done: int = 0
     running: int = 0
     scheduled: dict[int, ScheduledStep] = field(default_factory=dict)  # absolute times
     consumed_core_seconds: float = 0.0
@@ -146,7 +151,7 @@ class ClusterRun:
     @property
     def complete(self) -> bool:
         """Whether every step either finished or failed."""
-        return not self.pending and self.running == 0
+        return not self.unplaced and self.running == 0
 
 
 class ClusterScheduler:
@@ -158,8 +163,8 @@ class ClusterScheduler:
     :class:`~repro.execution.parallel.ParallelSimulator` does exactly
     that).  Admission (:meth:`submit`) and event-driving
     (:meth:`execute`, :meth:`run_until_idle`) may happen from any
-    thread; a single condition variable guards all mutable state and
-    elects one driving thread at a time.
+    thread; a single lock guards all mutable state, and the thread that
+    holds it drives every event until its own wait is over.
     """
 
     def __init__(self, cloud: MultiEngineCloud, policy: str = "fifo", *,
@@ -178,22 +183,25 @@ class ClusterScheduler:
             cluster if cluster is not None else cloud.cluster)
         #: virtual-time origin: snapshots/spans report cloud-clock timestamps
         self._clock_base = cloud.clock.now
-        self._cond = threading.Condition(make_lock("cluster"))
-        self._now = 0.0  # guarded-by: _cond
-        self._seq = 0  # guarded-by: _cond
-        self._runs: dict[int, ClusterRun] = {}  # guarded-by: _cond
+        self._lock = make_lock("cluster")
+        self._now = 0.0  # guarded-by: _lock
+        self._seq = 0  # guarded-by: _lock
+        self._runs: dict[int, ClusterRun] = {}  # guarded-by: _lock
         # (finish, run.seq, step_index, run, step, grants) — heapq orders
         # equal finish times by admission then plan position, so releases
         # and successor admissions are stable across runs and seeds
         self._events: list[
             tuple[float, int, int, ClusterRun, PlanStep, list[Container]]
-        ] = []  # guarded-by: _cond
-        self._driving = False  # guarded-by: _cond
-        self._admitted = 0  # guarded-by: _cond
-        self._completed = 0  # guarded-by: _cond
-        self._steps_placed = 0  # guarded-by: _cond
-        self._peak_running = 0  # guarded-by: _cond
-        self._peak_cores = 0  # guarded-by: _cond
+        ] = []  # guarded-by: _lock
+        #: one object per distinct request ever admitted, so a dispatch pass
+        #: can remember a refusal by identity (hashing a request costs more
+        #: than the question it saves)
+        self._interned: dict[ContainerRequest, ContainerRequest] = {}  # guarded-by: _lock
+        self._admitted = 0  # guarded-by: _lock
+        self._completed = 0  # guarded-by: _lock
+        self._steps_placed = 0  # guarded-by: _lock
+        self._peak_running = 0  # guarded-by: _lock
+        self._peak_cores = 0  # guarded-by: _lock
 
     # -- admission --------------------------------------------------------------
     def submit(self, plan: MaterializedPlan, *, run_id: str | None = None,
@@ -208,7 +216,7 @@ class ClusterScheduler:
         :class:`SchedulingError` only when that leaves no placeable
         compute step at all.
         """
-        with self._cond:
+        with self._lock:
             run = self._prepare_locked(plan, run_id=run_id, seed=seed,
                                        tenant=tenant)
             self._runs[id(run)] = run
@@ -217,7 +225,6 @@ class ClusterScheduler:
             _INFLIGHT.set(len(self._runs))
             if run.complete:  # every step failed before placement
                 self._finalize_locked(run)
-            self._cond.notify_all()
         _LOG.info("cluster_admit", policy=self.policy, run_id=run.run_id,
                   workflow=plan.workflow.name, seq=run.seq,
                   steps=run.steps_total, failures=len(run.failures))
@@ -225,7 +232,7 @@ class ClusterScheduler:
 
     def execute(self, plan: MaterializedPlan, *, run_id: str | None = None,
                 seed: int | None = None, tenant: str = "default") -> ParallelReport:
-        """Admit the plan, help drive the loop until it completes."""
+        """Admit the plan, drive the loop until it completes."""
         run = self.submit(plan, run_id=run_id, seed=seed, tenant=tenant)
         self._drive(lambda: run.report is not None)
         assert run.report is not None
@@ -239,21 +246,13 @@ class ClusterScheduler:
     def _drive(self, finished) -> None:
         """Advance events until ``finished()`` (called under the lock) holds.
 
-        Cooperative: whichever waiting thread wins the driver role
-        advances exactly one event, then yields, so no thread is stuck
-        driving other runs' tails after its own completed.
+        The lock is held throughout, so a second thread enters only
+        once this one's predicate holds; it then finds its run either
+        untouched or already finished by this thread.
         """
-        with self._cond:
+        with self._lock:
             while not finished():
-                if self._driving:
-                    self._cond.wait(timeout=0.1)
-                    continue
-                self._driving = True
-                try:
-                    self._advance_locked()
-                finally:
-                    self._driving = False
-                self._cond.notify_all()
+                self._advance_locked()
 
     def _advance_locked(self) -> None:
         """Dispatch what fits, then consume the next finish event."""
@@ -262,23 +261,29 @@ class ClusterScheduler:
             finish, _seq, _idx, run, step, grants = heapq.heappop(self._events)
             self._now = max(self._now, finish)
             self.scheduler.release_all_of(grants)
-            run.done.add(id(step))
+            run.done += 1
             run.running -= 1
+            for consumer in run.consumers.get(id(step), ()):
+                run.unmet[id(consumer)] -= 1
+                if not run.unmet[id(consumer)]:
+                    run.ready.append(consumer)
             if run.complete:
                 self._finalize_locked(run)
             return
-        # no event in flight: any still-pending step is stuck (its request
-        # exceeds capacity freed by completed runs, or a dependency failed
-        # in a way the cascade already recorded).  Fail it; never abort
-        # the loop — other runs continue.
+        # no event in flight: any still-unplaced step is stuck (its request
+        # exceeds the capacity left healthy since admission).  Fail it;
+        # never abort the loop — other runs continue.
         for run in list(self._runs.values()):
-            for step in list(run.pending):
+            for step in run.plan.steps:
+                if id(step) in run.failures or id(step) in run.scheduled:
+                    continue
                 run.failures[id(step)] = StepFailure(
                     step,
                     f"{step.operator.name}: unschedulable — "
                     f"{self._describe_request(run, step)} cannot be granted",
                 )
-                run.pending.remove(step)
+            run.ready.clear()
+            run.unplaced = 0
             if run.complete:
                 self._finalize_locked(run)
 
@@ -288,28 +293,33 @@ class ClusterScheduler:
         Backfilling: a candidate whose containers do not fit right now is
         skipped, not blocking — smaller steps behind it may still start.
         (Steps only *complete* at heap pops, so one pass over the ready
-        set is exhaustive: placements never unlock new candidates.)
+        set is exhaustive: placements never unlock new candidates.)  For
+        the same reason free capacity only falls during a pass, so a
+        request refused once is refused for every later candidate asking
+        the same: the container scheduler hears each refused request once.
         """
         candidates: list[tuple[tuple, ClusterRun, PlanStep]] = []
         for run in self._runs.values():
-            for step in run.pending:
-                if run.deps[id(step)] - run.done:
-                    continue  # inputs not ready yet
-                idx = run.index[id(step)]
-                candidates.append((self._key(run, idx, step), run, step))
+            for step in run.ready:
+                candidates.append(
+                    (self._key(run, run.index[id(step)], step), run, step))
+            run.ready.clear()  # the pass puts back what it does not place
         candidates.sort(key=lambda c: c[0])
+        refused: set[int] = set()  # by identity: requests are interned
         placed = False
         for _key, run, step in candidates:
             request = run.requests[id(step)]
-            grants: list[Container] = []
+            grants: list[Container] | None = []
             if request is not None:
-                try:
-                    grants = self.scheduler.allocate(request)
-                except InsufficientResourcesError:
-                    continue  # backfill: try the next candidate
+                grants = (None if id(request) in refused
+                          else self.scheduler.try_allocate(request))
+                if grants is None:  # backfill: try the next candidate
+                    refused.add(id(request))
+                    run.ready.append(step)
+                    continue
             duration = run.durations[id(step)]
             finish = self._now + duration
-            run.pending.remove(step)
+            run.unplaced -= 1
             run.running += 1
             cores = request.cores * request.instances if request else 0
             run.scheduled[id(step)] = ScheduledStep(
@@ -344,11 +354,14 @@ class ClusterScheduler:
         steps = list(plan.steps)
         run.index = {id(s): i for i, s in enumerate(steps)}
         for step in steps:
-            seconds, failure, spec = resolver.resolve(step)
+            seconds, failure, spec, request = resolver.resolve(step)
             if failure is not None:
                 run.failures[id(step)] = failure
                 continue
             run.durations[id(step)] = float(seconds or 0.0)
+            run.requests[id(step)] = (
+                None if request is None
+                else self._interned.setdefault(request, request))
             if spec is not None:
                 run.speculations.append((spec, step))
 
@@ -357,25 +370,24 @@ class ClusterScheduler:
         for step in steps:
             for out in step.outputs:
                 producer_of[id(out)] = step
-        run.deps = {
+        deps = {
             id(s): {id(producer_of[id(d)])
                     for d in s.inputs if id(d) in producer_of}
             for s in steps
         }
 
-        # a request no empty cluster could grant is a fault, not an abort
-        run.requests = {
-            id(s): resolver.request(s)
-            for s in steps if id(s) not in run.failures
-        }
+        # a request no empty cluster could grant is a fault, not an abort;
+        # the empty cluster is asked the way the live one is at dispatch
+        empty = ContainerScheduler(self.scheduler.cluster.clone())
+        fits_empty: dict[ContainerRequest, bool] = {}
         placeable = infeasible = 0
         for step in steps:
-            if id(step) in run.failures:
-                continue
-            request = run.requests[id(step)]
+            request = run.requests.get(id(step))
             if request is None:
-                continue  # moves need no containers
-            if self._fits_empty(request):
+                continue  # failed already, or a move: needs no containers
+            if request not in fits_empty:
+                fits_empty[request] = empty.fits(request)
+            if fits_empty[request]:
                 placeable += 1
             else:
                 infeasible += 1
@@ -396,7 +408,7 @@ class ClusterScheduler:
                 if id(step) in run.failures:
                     continue
                 upstream = next(
-                    (f for f in run.deps[id(step)] if f in run.failures), None)
+                    (f for f in deps[id(step)] if f in run.failures), None)
                 if upstream is not None:
                     run.failures[id(step)] = StepFailure(
                         step,
@@ -405,31 +417,25 @@ class ClusterScheduler:
                         cascaded=True)
                     changed = True
 
-        run.pending = [s for s in steps if id(s) not in run.failures]
+        # every producer of a surviving step survived too: it is ready
+        # once that many finish events have been consumed
+        surviving = [s for s in steps if id(s) not in run.failures]
+        for step in surviving:
+            run.unmet[id(step)] = len(deps[id(step)])
+            for dep in deps[id(step)]:
+                run.consumers.setdefault(dep, []).append(step)
+        run.ready = [s for s in surviving if not run.unmet[id(s)]]
+        run.unplaced = len(surviving)
         run.crit, run.total_crit = self._critical_path(
-            steps, run.deps, run.durations, run.failures)
+            surviving, run.consumers, run.durations)
         run.remaining_work = sum(
             run.durations[id(s)] * req.cores * req.instances
-            for s in run.pending
+            for s in surviving
             if (req := run.requests.get(id(s))) is not None)
         return run
 
-    def _fits_empty(self, request: ContainerRequest) -> bool:
-        """Whether an *empty* healthy cluster could grant the request."""
-        free = [(n.cores, n.memory_gb)
-                for n in self.scheduler.cluster.healthy_nodes()]
-        free.sort(reverse=True)
-        placed = 0
-        for cores, memory in free:
-            while (placed < request.instances and cores >= request.cores
-                   and memory >= request.memory_gb):
-                cores -= request.cores
-                memory -= request.memory_gb
-                placed += 1
-        return placed >= request.instances
-
     @staticmethod
-    def _critical_path(steps, deps, durations, failures):
+    def _critical_path(surviving, consumers, durations):
         """Remaining critical-path seconds through each surviving step.
 
         ``crit[id(step)]`` is the longest duration-weighted path from the
@@ -437,18 +443,12 @@ class ClusterScheduler:
         subgraph hanging off it.  Computed in one reverse pass: plan
         order is topological (producers precede consumers).
         """
-        consumers: dict[int, list[int]] = {}
-        for step in steps:
-            for dep in deps[id(step)]:
-                consumers.setdefault(dep, []).append(id(step))
         crit: dict[int, float] = {}
-        for step in reversed(steps):
-            if id(step) in failures:
-                continue
+        for step in reversed(surviving):
             downstream = max(
-                (crit.get(c, 0.0) for c in consumers.get(id(step), [])),
+                (crit[id(c)] for c in consumers.get(id(step), [])),
                 default=0.0)
-            crit[id(step)] = durations.get(id(step), 0.0) + downstream
+            crit[id(step)] = durations[id(step)] + downstream
         total = max(crit.values(), default=0.0)
         return crit, total
 
@@ -461,7 +461,7 @@ class ClusterScheduler:
         """Assemble the run's paper-era report and emit its telemetry."""
         run.finished_at = max(
             (s.finish for s in run.scheduled.values()), default=run.arrival)
-        if run.pending or run.running:
+        if not run.complete:
             raise RuntimeError("finalizing a run that is still in flight")
         steps = list(run.plan.steps)
         schedule = sorted(
@@ -539,7 +539,7 @@ class ClusterScheduler:
     # -- introspection ----------------------------------------------------------
     def snapshot(self) -> dict:
         """Queue/placement state for ``GET /cluster`` and ``ires top``."""
-        with self._cond:
+        with self._lock:
             runs = []
             for run in self._runs.values():
                 runs.append({
@@ -549,7 +549,7 @@ class ClusterScheduler:
                     "seq": run.seq,
                     "arrival": self._clock_base + run.arrival,
                     "stepsTotal": run.steps_total,
-                    "stepsDone": len(run.done),
+                    "stepsDone": run.done,
                     "stepsRunning": run.running,
                     "stepsFailed": len(run.failures),
                     "consumedCoreSeconds": run.consumed_core_seconds,

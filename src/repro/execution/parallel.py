@@ -207,18 +207,21 @@ class StepResolver:
 
     def resolve(
         self, step: PlanStep
-    ) -> tuple[float | None, StepFailure | None, SpeculationRecord | None]:
-        """One step's effective duration, or its failure, plus speculation."""
+    ) -> tuple[float | None, StepFailure | None, SpeculationRecord | None,
+               ContainerRequest | None]:
+        """One step's effective duration, or its failure, plus speculation
+        and the container request it asks the shared scheduler for (none
+        for a move, which takes no containers, and for a failed step)."""
         if step.is_move:
             seconds = self.cloud.move_seconds(
                 step.inputs[0].size, step.inputs[0].store, step.outputs[0].store)
-            return seconds, None, None
+            return seconds, None, None, None
         engine = self.cloud.engines.get(step.engine or "")
         if engine is None:
             raise SchedulingError(f"engine {step.engine!r} is not deployed")
         if not engine.available:
             return None, StepFailure(
-                step, f"{step.operator.name}@{engine.name}: engine is OFF"), None
+                step, f"{step.operator.name}@{engine.name}: engine is OFF"), None, None
         workload = workload_from_inputs(step.operator, step.inputs)
         resources = resources_for(step.operator, self.cloud)
         try:
@@ -226,7 +229,7 @@ class StepResolver:
                                         resources)
         except EngineError as exc:
             return None, StepFailure(
-                step, f"{step.operator.name}@{engine.name}: {exc}"), None
+                step, f"{step.operator.name}@{engine.name}: {exc}"), None, None
         noise = float(np.exp(self.rng.normal(0.0, engine.noise_sigma)))
         base = truth * noise
         outcome = (
@@ -237,28 +240,22 @@ class StepResolver:
             return None, StepFailure(
                 step,
                 f"{step.operator.name}@{engine.name}: transient fault after "
-                f"{outcome.work_fraction:.0%} of the work"), None
+                f"{outcome.work_fraction:.0%} of the work"), None, None
+        request = engine.request_for(resources)
         if outcome.slowdown <= 1.0:
-            return base, None, None
+            return base, None, None, request
         slowed = base * outcome.slowdown
         if not self.speculation or outcome.slowdown <= self.straggler_threshold:
-            return slowed, None, None
+            return slowed, None, None, request
         # straggler detected at threshold × nominal: launch a backup copy
         spec = self._speculate(step, engine, workload, resources, base, slowed)
         if spec is None:
-            return slowed, None, None
-        return spec.effective_seconds, None, spec
-
-    def request(self, step: PlanStep) -> ContainerRequest | None:
-        """The container request the step asks the shared scheduler for."""
-        if step.is_move:
-            return None
-        engine = self.cloud.engines[step.engine]
-        return engine.request_for(resources_for(step.operator, self.cloud))
+            return slowed, None, None, request
+        return spec.effective_seconds, None, spec, request
 
     def _speculate(self, step, engine, workload, resources,
                    base: float, slowed: float) -> SpeculationRecord | None:
-        backup = self._backup_engine(step, engine)
+        backup = self._backup_engine(step, engine, workload, resources)
         if backup is None:
             return None
         try:
@@ -277,9 +274,8 @@ class StepResolver:
             effective_seconds=effective,
         )
 
-    def _backup_engine(self, step: PlanStep, original):
+    def _backup_engine(self, step: PlanStep, original, workload, resources):
         """Fastest other available engine implementing the step's algorithm."""
-        workload = workload_from_inputs(step.operator, step.inputs)
         best, best_seconds = None, float("inf")
         for candidate in self.cloud.engines.values():
             if candidate.name == original.name or not candidate.available:
@@ -288,8 +284,7 @@ class StepResolver:
                 continue
             try:
                 seconds = candidate.true_seconds(
-                    step.operator.algorithm, workload,
-                    resources_for(step.operator, self.cloud))
+                    step.operator.algorithm, workload, resources)
             except EngineError:
                 continue
             if seconds < best_seconds:

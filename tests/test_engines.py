@@ -1,6 +1,8 @@
 """Unit tests for the simulated multi-engine cloud (repro.engines)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engines import (
     Cluster,
@@ -116,6 +118,16 @@ class TestContainerScheduler:
     def test_invalid_request_rejected(self):
         with pytest.raises(ValueError):
             ContainerRequest(cores=0)
+
+    def test_decision_uses_the_grants_arithmetic(self):
+        """0.1 + 0.1 + 0.1 > 0.3: a 0.4 GB node takes three 0.1 GB
+        containers, not four — and the decision says so before placing."""
+        sched = ContainerScheduler(Cluster([Node("n", cores=8, memory_gb=0.4)]))
+        four = ContainerRequest(cores=1, memory_gb=0.1, instances=4)
+        assert not sched.fits(four)
+        assert sched.try_allocate(four) is None
+        assert sched.live_containers == [] and sched.cluster.available_cores == 8
+        assert len(sched.allocate(ContainerRequest(1, 0.1, 3))) == 3
 
 
 class TestPerfModel:
@@ -289,3 +301,88 @@ class TestFaults:
         assert not cloud.cluster.nodes["vm03"].healthy
         injector.reset()
         assert cloud.cluster.nodes["vm03"].healthy
+
+
+# -- the non-raising decision is the grant -------------------------------------
+
+def _reference_allocate(cluster: Cluster, request: ContainerRequest):
+    """The grant as it was before ``fits`` existed: place instance by
+    instance on the first maximal ``(cores_free, memory_free)`` node that
+    can take one, roll everything back on the first that cannot.  Returns
+    the node ids in grant order, or None."""
+    placed = []
+    for _ in range(request.instances):
+        candidates = [
+            n for n in cluster.healthy_nodes()
+            if n.cores_free >= request.cores and n.memory_free >= request.memory_gb
+        ]
+        if not candidates:
+            for node in placed:
+                node.cores_used -= request.cores
+                node.memory_used -= request.memory_gb
+            return None
+        node = max(candidates, key=lambda n: (n.cores_free, n.memory_free))
+        node.cores_used += request.cores
+        node.memory_used += request.memory_gb
+        placed.append(node)
+    return [n.node_id for n in placed]
+
+
+def _copy(cluster: Cluster) -> Cluster:
+    """Same capacity, health *and* usage (``Cluster.clone`` empties it)."""
+    return Cluster(
+        Node(n.node_id, n.cores, n.memory_gb, n.health, n.cores_used, n.memory_used)
+        for n in cluster.nodes.values())
+
+
+_requests = st.builds(ContainerRequest, cores=st.integers(1, 4),
+                      memory_gb=st.integers(1, 40).map(lambda n: n / 10),
+                      instances=st.integers(1, 8))
+
+
+@st.composite
+def _fit_case(draw):
+    """A request, and a cluster of heterogeneous nodes, some unhealthy,
+    partly used by earlier grants.
+
+    Sizes are tenths of a GB: most are not representable, so the order of
+    the additions and subtractions in a fit test shows in its answer — and
+    it shows at the boundary, so half the nodes hold a whole number of the
+    request's containers (0.4 GB and 0.1 GB: three fit, not four).
+    """
+    request = draw(_requests)
+    tenths = round(request.memory_gb * 10)
+    memory = st.one_of(st.integers(1, 160),
+                       st.integers(1, 8).map(lambda k: k * tenths))
+    cluster = Cluster(
+        Node(f"n{i}", cores=draw(st.integers(1, 32)),
+             memory_gb=draw(memory) / 10,
+             health=draw(st.sampled_from(["HEALTHY", "HEALTHY", "UNHEALTHY"])))
+        for i in range(draw(st.integers(1, 6))))
+    for earlier in draw(st.lists(_requests, max_size=3)):
+        _reference_allocate(cluster, earlier)
+    return cluster, request
+
+
+@given(_fit_case())
+@settings(max_examples=500, deadline=None)
+def test_decision_is_the_grant(case):
+    """``fits`` ≡ "the grant goes through", grants land where they always
+    did, and a refusal leaves the cluster as it found it."""
+    cluster, request = case
+    expected = _reference_allocate(_copy(cluster), request)
+    untouched = _copy(cluster)
+    usage = [(n.cores_used, n.memory_used) for n in cluster.nodes.values()]
+    sched = ContainerScheduler(cluster)
+    assert sched.fits(request) == (expected is not None)
+    granted = sched.try_allocate(request)
+    if expected is None:
+        assert granted is None
+        assert [(n.cores_used, n.memory_used)
+                for n in cluster.nodes.values()] == usage
+        with pytest.raises(InsufficientResourcesError, match="cannot place"):
+            sched.allocate(request)
+    else:
+        assert [c.node.node_id for c in granted] == expected
+        assert [c.node.node_id for c in
+                ContainerScheduler(untouched).allocate(request)] == expected
